@@ -3,7 +3,7 @@
 //! entity-table scan against the unfused score-then-reduce pipeline.
 //!
 //! Backs the before/after tables in `docs/performance.md` § Vectorized
-//! kernels. Emits `results/BENCH_kernels.json`. Set `ERAS_BENCH_QUICK`
+//! kernels. Emits `crates/bench/results/BENCH_kernels.json`. Set `ERAS_BENCH_QUICK`
 //! for a smoke run (dimension 32 only, small scan table) — the JSON is
 //! still written, with a `quick` marker.
 

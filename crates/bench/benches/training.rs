@@ -10,7 +10,7 @@
 //!    within each repetition so machine noise hits all of them alike,
 //!    and the minimum over repetitions is reported (the standard
 //!    noise-robust estimator for a deterministic workload). Emits
-//!    `results/BENCH_training.json`.
+//!    `crates/bench/results/BENCH_training.json`.
 //!
 //! 3. Observability overhead — the full trainer (spans, events,
 //!    metrics all live) with a JSONL tracer draining to a sink vs no

@@ -20,8 +20,8 @@
 //! | `fig7`      | block-count sweep M ∈ {3,4,5} |
 //!
 //! Every binary takes `--quick` for a reduced-budget smoke run and writes
-//! machine-readable results to `results/<name>.json` next to the ASCII
-//! table on stdout.
+//! machine-readable results to `crates/bench/results/<name>.json` next to
+//! the ASCII table on stdout.
 
 pub mod comparators;
 pub mod harness;

@@ -2,7 +2,7 @@
 
 use eras_data::json::ToJson;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple fixed-width ASCII table builder.
 #[derive(Debug, Clone, Default)]
@@ -70,10 +70,11 @@ pub fn mrr(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Write a serialisable result to `results/<name>.json` (directory created
-/// on demand). Returns the path written.
+/// Write a serialisable result to `crates/bench/results/<name>.json`
+/// (directory created on demand), wherever the process runs from.
+/// Returns the path written.
 pub fn save_json<T: ToJson>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("results");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, value.to_json().to_pretty())?;

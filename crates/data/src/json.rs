@@ -4,8 +4,8 @@
 //! audit tooling run in network-restricted environments), so instead of
 //! `serde`/`serde_json` this module provides a small JSON value type, a
 //! compact and a pretty writer, and a recursive-descent parser — enough
-//! for the result files under `results/`, the search traces behind
-//! Figure 2, and the `eras audit --format json` reports.
+//! for the result files under `crates/bench/results/`, the search
+//! traces behind Figure 2, and the `eras audit --format json` reports.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

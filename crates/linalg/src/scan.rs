@@ -24,6 +24,13 @@
 //!   ([`RankTally`]) digests them without ever seeing a full score
 //!   vector.
 //!
+//! ## Row shards
+//!
+//! [`scan_row_range`] runs the same loop over a sub-range of rows
+//! ([`scan_rows`] is its full-range case), so one table pass can be cut
+//! into row shards that run on different executors. Per-shard top-k
+//! lists combine into the exact whole-table top-k with [`merge_topk`].
+//!
 //! ## Exactness
 //!
 //! Every score produced by the scan is bit-identical to
@@ -39,6 +46,7 @@ use crate::matrix::Matrix;
 use crate::vecops;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Rows per cache block of the fused scan. At dimension `d` a block
 /// holds `256·d·4` bytes of entity rows (32 KiB at d = 32, 128 KiB at
@@ -65,22 +73,41 @@ pub trait BlockConsumer {
 /// stream each query's scores into its consumer.
 ///
 /// Scores are bit-identical to `vecops::dot(table.row(e), q)` for
-/// every entity `e` — see the module docs.
-// audit:allow(E701): all indexing is structurally in bounds — row
-// indices stay below table.rows() (block loop bound), query offsets
-// below consumers.len()*dim (qvecs length is debug-asserted), and
-// scratch offsets below QTILE*BLOCK_ROWS (nb <= BLOCK_ROWS, t < QTILE)
+/// every entity `e` — see the module docs. This is
+/// [`scan_row_range`] over `0..table.rows()`.
 pub fn scan_rows<C: BlockConsumer>(table: &Matrix, qvecs: &[f32], consumers: &mut [C]) {
+    scan_row_range(table, 0..table.rows(), qvecs, consumers);
+}
+
+/// [`scan_rows`] restricted to the rows `rows` of `table` (clamped to
+/// `table.rows()`): consumers see the same absolute row ids and
+/// bit-identical scores as in a full scan, for rows of the range only.
+///
+/// Cache blocks start at `rows.start`, so a range that starts on a
+/// multiple of [`BLOCK_ROWS`] tiles exactly like the full scan. Row
+/// shards of one table pass can therefore run on different executors
+/// and be merged afterwards (see [`merge_topk`]).
+// audit:allow(E701): all indexing is structurally in bounds — row
+// indices stay below the clamped end <= table.rows() (block loop
+// bound), query offsets below consumers.len()*dim (qvecs length is
+// debug-asserted), and scratch offsets below QTILE*BLOCK_ROWS
+// (nb <= BLOCK_ROWS, t < QTILE)
+pub fn scan_row_range<C: BlockConsumer>(
+    table: &Matrix,
+    rows: Range<usize>,
+    qvecs: &[f32],
+    consumers: &mut [C],
+) {
     let dim = table.cols();
     let nq = consumers.len();
     debug_assert_eq!(qvecs.len(), nq * dim);
-    let rows = table.rows();
+    let end = rows.end.min(table.rows());
     // Per-block score scratch, one BLOCK_ROWS stripe per tiled query:
     // 4 KiB on the stack, no heap traffic in the hot loop.
     let mut scores = [0.0f32; QTILE * BLOCK_ROWS];
-    let mut base = 0;
-    while base < rows {
-        let nb = BLOCK_ROWS.min(rows - base);
+    let mut base = rows.start;
+    while base < end {
+        let nb = BLOCK_ROWS.min(end - base);
         let mut qi = 0;
         // Register-tiled queries: each entity row is loaded once per
         // four queries while it is cache-hot.
@@ -242,6 +269,24 @@ impl BlockConsumer for StreamTopK<'_> {
     }
 }
 
+/// Exact top-`k` of a row-sharded scan: merges per-shard best-first
+/// lists (each the [`StreamTopK::into_sorted`] of one disjoint row
+/// range, with the same `k`) into the best-first top-`k` of their
+/// union, under the [`Hit`] total order.
+///
+/// Every member of the global top-`k` is in the top-`k` of its own
+/// shard, so the result equals a single [`StreamTopK`] over the whole
+/// table, ids and score bits alike, whatever the shard boundaries.
+pub fn merge_topk<'a>(k: usize, parts: impl IntoIterator<Item = &'a [Hit]>) -> Vec<Hit> {
+    let mut all: Vec<Hit> = parts.into_iter().flatten().copied().collect();
+    // The parts are sorted runs; the stable sort merges runs in
+    // O(n log parts). Row ranges are disjoint, so ids are unique and
+    // the order is strict.
+    all.sort_by(|a, b| b.cmp(a));
+    all.truncate(k);
+    all
+}
+
 /// Streaming filtered-rank tally for one evaluation query: counts
 /// candidates scoring strictly above / exactly equal to the target's
 /// score, skipping filtered ids and the target itself — the streaming
@@ -305,13 +350,32 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
-    /// Collects every score — the materializing reference consumer.
-    struct Collect(Vec<f32>);
+    /// Collects every score of a scan starting at row `lo` — the
+    /// materializing reference consumer.
+    struct Collect {
+        lo: usize,
+        scores: Vec<f32>,
+    }
+
+    impl Collect {
+        fn sinks(lo: usize, nq: usize) -> Vec<Collect> {
+            (0..nq)
+                .map(|_| Collect {
+                    lo,
+                    scores: Vec::new(),
+                })
+                .collect()
+        }
+    }
 
     impl BlockConsumer for Collect {
         fn consume(&mut self, base: u32, scores: &[f32]) {
-            assert_eq!(base as usize, self.0.len(), "blocks must be in order");
-            self.0.extend_from_slice(scores);
+            assert_eq!(
+                base as usize,
+                self.lo + self.scores.len(),
+                "blocks must be in order"
+            );
+            self.scores.extend_from_slice(scores);
         }
     }
 
@@ -329,13 +393,13 @@ mod tests {
         for (rows, nq) in [(1usize, 1usize), (7, 3), (256, 4), (300, 5), (513, 9)] {
             let dim = 16;
             let (table, qvecs) = table_and_queries(rows, dim, nq);
-            let mut sinks: Vec<Collect> = (0..nq).map(|_| Collect(Vec::new())).collect();
+            let mut sinks = Collect::sinks(0, nq);
             scan_rows(&table, &qvecs, &mut sinks);
             let mut want = vec![0.0f32; rows];
             for (qi, sink) in sinks.iter().enumerate() {
                 table.matvec(&qvecs[qi * dim..(qi + 1) * dim], &mut want);
-                assert_eq!(sink.0.len(), rows);
-                for (e, (&got, &w)) in sink.0.iter().zip(&want).enumerate() {
+                assert_eq!(sink.scores.len(), rows);
+                for (e, (&got, &w)) in sink.scores.iter().zip(&want).enumerate() {
                     assert_eq!(
                         got.to_bits(),
                         w.to_bits(),
@@ -346,36 +410,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stream_topk_matches_sort_reference() {
+    /// Materializing reference top-k: sort every unfiltered hit.
+    fn sorted_topk(hits: impl IntoIterator<Item = Hit>, k: usize) -> Vec<Hit> {
+        let mut want: Vec<Hit> = hits.into_iter().collect();
+        want.sort_by(|a, b| b.cmp(a));
+        want.truncate(k);
+        want
+    }
+
+    fn assert_hits_eq(got: &[Hit], want: &[Hit], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.id, w.id, "{ctx}");
+            assert_eq!(g.score.to_bits(), w.score.to_bits(), "{ctx}");
+        }
+    }
+
+    /// 400 scores with exact ties (ids 3, 17, 200) and a NaN (id 99),
+    /// plus a filter list (3 is filtered, so 17 and 200 stay tied).
+    fn tie_and_nan_scores() -> (Vec<f32>, Vec<u32>) {
         let rows = 400;
         let (table, qvecs) = table_and_queries(rows, 8, 1);
         let mut scores = vec![0.0f32; rows];
         table.matvec(&qvecs, &mut scores);
-        // Inject exact ties and a NaN to exercise the total order.
         scores[17] = scores[3];
         scores[200] = scores[3];
         scores[99] = f32::NAN;
-        let filt: Vec<u32> = vec![3, 42, 399];
+        (scores, vec![3, 42, 399])
+    }
+
+    fn unfiltered_hits<'a>(scores: &'a [f32], filt: &'a [u32]) -> impl Iterator<Item = Hit> + 'a {
+        scores
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| filt.binary_search(&(*i as u32)).is_err())
+            .map(|(i, &s)| Hit {
+                id: i as u32,
+                score: s,
+            })
+    }
+
+    #[test]
+    fn stream_topk_matches_sort_reference() {
+        let (scores, filt) = tie_and_nan_scores();
         for k in [1usize, 5, 50, 400, 1000] {
             let mut sink = StreamTopK::new(k, &filt);
             sink.consume(0, &scores);
-            let got = sink.into_sorted();
-            let mut want: Vec<Hit> = scores
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| filt.binary_search(&(*i as u32)).is_err())
-                .map(|(i, &s)| Hit {
-                    id: i as u32,
-                    score: s,
-                })
-                .collect();
-            want.sort_by(|a, b| b.cmp(a));
-            want.truncate(k);
-            assert_eq!(got.len(), want.len(), "k={k}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.id, w.id, "k={k}");
-                assert_eq!(g.score.to_bits(), w.score.to_bits(), "k={k}");
+            let want = sorted_topk(unfiltered_hits(&scores, &filt), k);
+            assert_hits_eq(&sink.into_sorted(), &want, &format!("k={k}"));
+        }
+    }
+
+    #[test]
+    fn merge_topk_matches_sort_of_shard_union() {
+        let (scores, filt) = tie_and_nan_scores();
+        // Shard sizes put boundaries on the tie (17), the NaN (99,
+        // 100) and the filtered ids, including one-row shards.
+        for shard in [1usize, 7, 17, 99, 100, 256, 400] {
+            for k in [1usize, 5, 50, 400, 1000] {
+                let parts: Vec<Vec<Hit>> = (0..scores.len())
+                    .step_by(shard)
+                    .map(|lo| {
+                        let hi = (lo + shard).min(scores.len());
+                        let mut sink = StreamTopK::new(k, &filt);
+                        sink.consume(lo as u32, &scores[lo..hi]);
+                        sink.into_sorted()
+                    })
+                    .collect();
+                // The union of every shard's unfiltered hits is the
+                // whole table's.
+                let got = merge_topk(k, parts.iter().map(Vec::as_slice));
+                let want = sorted_topk(unfiltered_hits(&scores, &filt), k);
+                assert_hits_eq(&got, &want, &format!("shard={shard} k={k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn row_range_scan_equals_slice_of_full_scan() {
+        let (rows, dim, nq) = (513usize, 16usize, 5usize);
+        let (table, qvecs) = table_and_queries(rows, dim, nq);
+        let mut full = Collect::sinks(0, nq);
+        scan_rows(&table, &qvecs, &mut full);
+        // Unaligned starts and ends, block-aligned ranges, empty ranges
+        // (including one at the table's end) and the full range.
+        let ranges = [
+            0..rows,
+            0..0,
+            300..300,
+            rows..rows,
+            0..1,
+            3..300,
+            255..257,
+            256..512,
+            100..513,
+            500..rows,
+        ];
+        for range in ranges {
+            let mut part = Collect::sinks(range.start, nq);
+            scan_row_range(&table, range.clone(), &qvecs, &mut part);
+            for (qi, (p, f)) in part.iter().zip(&full).enumerate() {
+                let want = &f.scores[range.clone()];
+                assert_eq!(p.scores.len(), want.len(), "{range:?} q={qi}");
+                for (e, (g, w)) in p.scores.iter().zip(want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{range:?} q={qi} e={e}");
+                }
             }
         }
     }

@@ -24,6 +24,8 @@ pub struct RecordSummary {
     pub name: String,
     /// Span duration in microseconds; `None` for events.
     pub dur_us: Option<u64>,
+    /// Trace thread id of the record, when present.
+    pub thread: Option<u64>,
 }
 
 /// Parses a full JSONL trace. Empty lines are ignored; any malformed
@@ -147,6 +149,26 @@ pub fn render_report(records: &[RecordSummary], top: usize) -> String {
     if stats.len() > top {
         let _ = writeln!(out, "... {} more span name(s)", stats.len() - top);
     }
+    // How pool-dispatched spans (e.g. `serve.scan_shard`) split across
+    // executors: span counts per thread, for names seen on several.
+    let mut threads: BTreeMap<&str, BTreeMap<u64, u64>> = BTreeMap::new();
+    for rec in records {
+        if let (Some(_), Some(t)) = (rec.dur_us, rec.thread) {
+            *threads.entry(&rec.name).or_default().entry(t).or_insert(0) += 1;
+        }
+    }
+    threads.retain(|_, by_thread| by_thread.len() > 1);
+    if !threads.is_empty() {
+        let _ = writeln!(out);
+        let _ = writeln!(out, "spans per thread (names run on more than one):");
+        for (name, by_thread) in &threads {
+            let _ = write!(out, "  {name:<32}");
+            for (t, n) in by_thread {
+                let _ = write!(out, " t{t}:x{n}");
+            }
+            let _ = writeln!(out);
+        }
+    }
     if !events.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "events:");
@@ -185,7 +207,16 @@ fn parse_line(line: &str) -> Result<RecordSummary, String> {
         ("span", _) => return Err("span record missing numeric \"dur_us\"".to_string()),
         (_, _) => None,
     };
-    Ok(RecordSummary { kind, name, dur_us })
+    let thread = match fields.get("thread") {
+        Some(Lite::Num(n)) if *n >= 0.0 => Some(*n as u64),
+        _ => None,
+    };
+    Ok(RecordSummary {
+        kind,
+        name,
+        dur_us,
+        thread,
+    })
 }
 
 /// A parsed JSON value, keeping only what the report needs; nested
@@ -428,11 +459,13 @@ mod tests {
                 kind: "span".to_string(),
                 name: "slow".to_string(),
                 dur_us: Some(d * 10),
+                thread: None,
             });
             records.push(RecordSummary {
                 kind: "span".to_string(),
                 name: "fast".to_string(),
                 dur_us: Some(d),
+                thread: None,
             });
         }
         let stats = aggregate(&records);
@@ -461,9 +494,30 @@ mod tests {
                 kind: "span".to_string(),
                 name: format!("s{i}"),
                 dur_us: Some(10),
+                thread: Some(1),
             })
             .collect();
         let text = render_report(&records, 2);
         assert!(text.contains("3 more span name(s)"), "{text}");
+        assert!(!text.contains("spans per thread"), "{text}");
+    }
+
+    #[test]
+    fn report_splits_multi_thread_spans_by_thread() {
+        let records: Vec<RecordSummary> = [(1u64, 3usize), (4, 2)]
+            .into_iter()
+            .flat_map(|(t, n)| {
+                (0..n).map(move |_| RecordSummary {
+                    kind: "span".to_string(),
+                    name: "serve.scan_shard".to_string(),
+                    dur_us: Some(10),
+                    thread: Some(t),
+                })
+            })
+            .collect();
+        let text = render_report(&records, 10);
+        assert!(text.contains("spans per thread"), "{text}");
+        assert!(text.contains(" t1:x3 t4:x2"), "{text}");
+        assert_eq!(parse_trace(SAMPLE).expect("well-formed")[0].thread, Some(1));
     }
 }

@@ -8,7 +8,7 @@
 //! `eras_train::BlockModel::tail_query`), after which candidate scores are
 //! dot products against entity rows. The engine hands a whole query
 //! group to the fused, cache-blocked scan kernel
-//! (`eras_linalg::scan::scan_rows`): the entity table is tiled into
+//! (`eras_linalg::scan::scan_row_range`): the entity table is tiled into
 //! L1/L2-sized row blocks, queries are register-tiled four at a time
 //! over each block, and every query's scores stream into its own
 //! bounded top-k heap (`eras_linalg::scan::StreamTopK`) — one table
@@ -17,6 +17,25 @@
 //! keeps a cursor into its sorted filter list, so filtered candidates
 //! are skipped in `O(1)` amortised, and a cached worst-score threshold
 //! rejects non-improving candidates with one float compare.
+//!
+//! ## Row shards
+//!
+//! Every table pass is cut into fixed row shards (`SCAN_SHARD_ROWS`,
+//! 65 536 rows), and each `(query group × row shard)` pair is one task
+//! on the shared `ThreadPool`, so a single query's 1M-row scan spreads
+//! over every pool executor instead of running on one. Each shard task
+//! gets its query's filter list sliced to the shard's rows and returns
+//! the query's top-k within the shard; the per-shard lists are then
+//! merged (`eras_linalg::scan::merge_topk`) under the ranking order
+//! below. The merge is exact — every member of the global top-k is in
+//! its own shard's top-k — so answers are bit-identical for every pool
+//! size and every shard size.
+//!
+//! The gain needs a second executor. At `ERAS_THREADS=1` the shards run
+//! inline, one after another, at the unsharded cost. The pool also
+//! takes one dispatcher at a time: when two HTTP workers answer at
+//! once, the second one's dispatch finds the pool busy and runs its
+//! shards inline on its own thread, which is the pre-shard behaviour.
 //!
 //! ## Ranking order
 //!
@@ -30,11 +49,12 @@ use crate::cache::LruCache;
 use crate::metrics::ServeMetrics;
 use eras_data::{FilterIndex, Json};
 use eras_linalg::pool::ThreadPool;
-use eras_linalg::scan::{scan_rows, StreamTopK};
+use eras_linalg::scan::{merge_topk, scan_row_range, Hit, StreamTopK, BLOCK_ROWS};
 use eras_obs::clock::Stopwatch;
 use eras_train::io::{self, Snapshot};
 use eras_train::BlockModel;
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -133,6 +153,15 @@ impl std::error::Error for ServeError {}
 /// entity table; the group size is fixed (never a function of the pool
 /// size) so batches shard the same way on every machine.
 const BATCH_SHARD_QUERIES: usize = 8;
+
+/// Entity rows per scan shard. Every entity-table pass is cut into row
+/// shards of this size, one pool task per `(query group × row shard)`,
+/// so even a single query's scan spreads over the pool. A multiple of
+/// [`BLOCK_ROWS`], so shards tile like the unsharded scan, and fixed
+/// (never a function of the pool size) like the group size: 16 shards
+/// of 8 MiB at 1M entities and dimension 32.
+const SCAN_SHARD_ROWS: usize = 65_536;
+const _: () = assert!(SCAN_SHARD_ROWS.is_multiple_of(BLOCK_ROWS));
 
 fn lock_cache<'a>(
     m: &'a Mutex<LruCache<Query, Arc<Vec<Ranked>>>>,
@@ -336,60 +365,76 @@ impl QueryEngine {
             .collect())
     }
 
-    /// The batched kernel, sharded over the shared thread pool: the
-    /// query list is cut into fixed groups of [`BATCH_SHARD_QUERIES`]
-    /// and each group makes its own ascending pass over the entity
-    /// table via [`QueryEngine::topk_group`]. Every query's ranking is
-    /// a pure function of that query alone, so the sharding (and the
-    /// pool size) cannot change any result; `ThreadPool::map` returns
-    /// groups in index order.
-    // audit:allow(E701): ThreadPool::map invokes the closure with
-    // g < groups.len() by contract
+    /// The batched kernel on the shared pool, in shards of
+    /// [`SCAN_SHARD_ROWS`] entity rows.
     fn topk_batch(&self, queries: &[Query]) -> Vec<Vec<Ranked>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let groups: Vec<&[Query]> = queries.chunks(BATCH_SHARD_QUERIES).collect();
-        ThreadPool::global()
-            .map(groups.len(), |g| self.topk_group(groups[g]))
-            .into_iter()
-            .flatten()
-            .collect()
+        self.topk_sharded(ThreadPool::global(), SCAN_SHARD_ROWS, queries)
     }
 
-    /// One fused, cache-blocked pass over the entity table for a group
-    /// of queries (`eras_linalg::scan::scan_rows`): a group of `B`
-    /// queries costs one table pass, with entity rows register-tiled
-    /// four queries at a time and scores streamed straight into each
-    /// query's bounded heap.
-    // audit:allow(E701): qvecs is sized queries.len() * dim up front,
-    // and qi always comes from enumerate() over queries
-    fn topk_group(&self, queries: &[Query]) -> Vec<Vec<Ranked>> {
+    /// The batched kernel: the query list is cut into fixed groups of
+    /// [`BATCH_SHARD_QUERIES`], the entity table into row shards of
+    /// `shard_rows`, and every `(group × shard)` pair is one `pool` task
+    /// ([`QueryEngine::scan_shard`]). Each query's per-shard top-k lists
+    /// are then merged under the ranking order (`merge_topk`). A query's
+    /// ranking is a pure function of that query alone, and the merge is
+    /// exact, so neither the pool size nor `shard_rows` can change any
+    /// result; `ThreadPool::map` returns tasks in index order.
+    // audit:allow(E701): qvecs is sized queries.len() * dim up front;
+    // ThreadPool::map invokes the closure with t < groups * shards, so
+    // g < groups and s < shards, the group range is clamped to
+    // queries.len(), and parts holds groups * shards lists of the group
+    // sizes the merge indexes with qi / B and qi % B
+    pub(crate) fn topk_sharded(
+        &self,
+        pool: &ThreadPool,
+        shard_rows: usize,
+        queries: &[Query],
+    ) -> Vec<Vec<Ranked>> {
         let emb = &self.snapshot.embeddings;
         let dim = emb.dim();
+        let rows = emb.num_entities();
+        let shard_rows = shard_rows.max(1);
+        // Query vectors and filter lists are built once per query and
+        // shared by all of its shards.
         let mut qvecs = vec![0.0f32; queries.len() * dim];
-        let mut states: Vec<StreamTopK<'_>> = Vec::with_capacity(queries.len());
+        let mut filts: Vec<&[u32]> = Vec::with_capacity(queries.len());
         for (qi, q) in queries.iter().enumerate() {
             let qv = &mut qvecs[qi * dim..(qi + 1) * dim];
             match q.dir {
                 Direction::Tail => self.model.tail_query(emb, q.anchor, q.rel, qv),
                 Direction::Head => self.model.head_query(emb, q.anchor, q.rel, qv),
             }
-            let filt: &[u32] = if q.filtered {
-                match q.dir {
-                    Direction::Tail => self.filter.tails(q.anchor, q.rel),
-                    Direction::Head => self.filter.heads(q.anchor, q.rel),
-                }
-            } else {
-                &[]
-            };
-            states.push(StreamTopK::new(q.k, filt));
+            filts.push(match (q.filtered, q.dir) {
+                (false, _) => &[],
+                (true, Direction::Tail) => self.filter.tails(q.anchor, q.rel),
+                (true, Direction::Head) => self.filter.heads(q.anchor, q.rel),
+            });
         }
-        scan_rows(&emb.entity, &qvecs, &mut states);
-        states
-            .into_iter()
-            .map(|st| {
-                st.into_sorted()
+        let groups = queries.len().div_ceil(BATCH_SHARD_QUERIES);
+        let shards = rows.div_ceil(shard_rows);
+        // Shard-major task order: the groups of one row shard are
+        // claimed back to back, so executors running at the same time
+        // tend to scan the same rows.
+        let parts = pool.map(groups * shards, |t| {
+            let (s, g) = (t / groups, t % groups);
+            let _span = eras_obs::span!("serve.scan_shard", shard = s, group = g);
+            let lo = s * shard_rows;
+            let q_lo = g * BATCH_SHARD_QUERIES;
+            let q_hi = (q_lo + BATCH_SHARD_QUERIES).min(queries.len());
+            self.scan_shard(
+                &queries[q_lo..q_hi],
+                &qvecs[q_lo * dim..q_hi * dim],
+                &filts[q_lo..q_hi],
+                lo..(lo + shard_rows).min(rows),
+            )
+        });
+        queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                let (g, j) = (qi / BATCH_SHARD_QUERIES, qi % BATCH_SHARD_QUERIES);
+                let shard_lists = (0..shards).map(|s| parts[s * groups + g][j].as_slice());
+                merge_topk(q.k, shard_lists)
                     .into_iter()
                     .map(|h| Ranked {
                         id: h.id,
@@ -398,6 +443,34 @@ impl QueryEngine {
                     .collect()
             })
             .collect()
+    }
+
+    /// One fused, cache-blocked pass over the entity rows `rows` for a
+    /// group of queries (`eras_linalg::scan::scan_row_range`): a group
+    /// of `B` queries costs one pass over the shard, with entity rows
+    /// register-tiled four queries at a time and scores streamed
+    /// straight into each query's bounded heap. Returns each query's
+    /// best-first top-k within the shard.
+    // audit:allow(E701): partition_point returns a <= b <= filt.len()
+    fn scan_shard(
+        &self,
+        queries: &[Query],
+        qvecs: &[f32],
+        filts: &[&[u32]],
+        rows: Range<usize>,
+    ) -> Vec<Vec<Hit>> {
+        let mut states: Vec<StreamTopK<'_>> = queries
+            .iter()
+            .zip(filts)
+            .map(|(q, filt)| {
+                // Only the shard's own slice of the sorted filter list.
+                let a = filt.partition_point(|&id| (id as usize) < rows.start);
+                let b = filt.partition_point(|&id| (id as usize) < rows.end);
+                StreamTopK::new(q.k, &filt[a..b])
+            })
+            .collect();
+        scan_row_range(&self.snapshot.embeddings.entity, rows, qvecs, &mut states);
+        states.into_iter().map(StreamTopK::into_sorted).collect()
     }
 
     /// `/stats` payload: metrics plus model and cache descriptors.
@@ -505,6 +578,63 @@ mod tests {
                     for (g, w) in got.ranked.iter().zip(&want) {
                         assert_eq!(g.id, w.id, "{q:?}");
                         assert_eq!(g.score.to_bits(), w.score.to_bits(), "{q:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 23-entity snapshot laid out against 4-row shards
+    /// (`[0,4) [4,8) … [20,23)`): rows 3, 4, 19, 20 and 21 are equal,
+    /// so tied scores straddle shard boundaries; row 17 is NaN; the
+    /// tail filter of `(0, r0, ?)` holds a shard's first and last row
+    /// (4, 7) and a whole shard (12..16); the head filter of
+    /// `(?, r1, 5)` holds the first and last row of shard 0 (0, 3) and
+    /// a whole shard (8..12).
+    fn shard_edge_engine() -> QueryEngine {
+        let mut snap = tiny_snapshot(23, 2, 8, 11);
+        let ent = &mut snap.embeddings.entity;
+        let tie = ent.row(3).to_vec();
+        for e in [4, 19, 20, 21] {
+            ent.row_mut(e).copy_from_slice(&tie);
+        }
+        ent.row_mut(17).fill(f32::NAN);
+        let tails = [4u32, 7, 12, 13, 14, 15].map(|t| Triple::new(0, 0, t));
+        let heads = [0u32, 3, 8, 9, 10, 11].map(|h| Triple::new(h, 1, 5));
+        snap.known = tails.into_iter().chain(heads).collect();
+        QueryEngine::new(snap, 0).expect("valid snapshot")
+    }
+
+    #[test]
+    fn sharded_topk_is_exact_for_every_pool_and_shard_size() {
+        let eng = shard_edge_engine();
+        let mut queries = Vec::new();
+        for (dir, anchor, rel) in [(Direction::Tail, 0, 0), (Direction::Head, 5, 1)] {
+            for filtered in [true, false] {
+                // k = 5 exceeds a 4-row shard, k = 100 exceeds N.
+                for k in [1usize, 3, 5, 10, 23, 100] {
+                    queries.push(Query {
+                        dir,
+                        anchor,
+                        rel,
+                        k,
+                        filtered,
+                    });
+                }
+            }
+        }
+        let want: Vec<Vec<Ranked>> = queries.iter().map(|&q| reference(&eng, q)).collect();
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for shard_rows in [1usize, 2, 3, 4, 5, 7, 23, 64, SCAN_SHARD_ROWS] {
+                let got = eng.topk_sharded(&pool, shard_rows, &queries);
+                assert_eq!(got.len(), want.len());
+                for ((q, g), w) in queries.iter().zip(&got).zip(&want) {
+                    let ctx = format!("threads={threads} shard_rows={shard_rows} {q:?}");
+                    assert_eq!(g.len(), w.len(), "{ctx}");
+                    for (a, b) in g.iter().zip(w) {
+                        assert_eq!(a.id, b.id, "{ctx}");
+                        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}");
                     }
                 }
             }
