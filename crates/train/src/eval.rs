@@ -832,9 +832,31 @@ mod tests {
         // No tail_rank/head_rank overrides: the defaults run.
     }
 
-    /// The fused-scan rank path of BlockModel must agree with the
-    /// dense score-everything default to the last bit — every score it
-    /// streams is bit-identical to the matvec the default ranks over.
+    /// Every ⟨q, E[e]⟩ model, untrained, on the tiny preset's shapes:
+    /// the inputs of the fused-vs-dense agreement tests.
+    fn query_models(emb: &Embeddings, rng: &mut Rng) -> Vec<(&'static str, Box<dyn ScoreModel>)> {
+        vec![
+            (
+                "ComplEx",
+                Box::new(BlockModel::universal(zoo::complex(), emb.num_relations())),
+            ),
+            ("HolE", Box::new(crate::hole::HolE::new(emb, 0.1, 4))),
+            ("QuatE", Box::new(crate::quate::QuatE::new(emb, 0.1, 4))),
+            (
+                "TuckER",
+                Box::new(crate::baselines::TuckEr::new(emb, 0.05, rng)),
+            ),
+            (
+                "MlpE",
+                Box::new(crate::mlpe::MlpE::new(emb, 8, 0.05, 4, rng)),
+            ),
+        ]
+    }
+
+    /// The fused-scan rank path of every query-vector model must agree
+    /// with the dense score-everything default to the last bit — every
+    /// score it streams is bit-identical to the matvec the default
+    /// ranks over.
     #[test]
     fn fused_rank_path_matches_dense_default_exactly() {
         let dataset = eras_data::Preset::Tiny.build(60);
@@ -846,30 +868,31 @@ mod tests {
             16,
             &mut rng,
         );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let fused = link_prediction(&model, &emb, &dataset.test, &filter);
-        let dense = link_prediction(&DenseOnly(&model), &emb, &dataset.test, &filter);
-        assert_eq!(fused, dense);
-        // And per-query, on a few triples, through the trait methods.
-        let mut scores = vec![0.0f32; dataset.num_entities()];
-        for &t in dataset.test.iter().take(8) {
-            let f = model.tail_rank(
-                &emb,
-                t.head,
-                t.rel,
-                t.tail,
-                filter.tails(t.head, t.rel),
-                &mut scores,
-            );
-            let d = DenseOnly(&model).tail_rank(
-                &emb,
-                t.head,
-                t.rel,
-                t.tail,
-                filter.tails(t.head, t.rel),
-                &mut scores,
-            );
-            assert_eq!(f.to_bits(), d.to_bits(), "{t:?}");
+        for (name, model) in query_models(&emb, &mut rng) {
+            let fused = link_prediction(&model, &emb, &dataset.test, &filter);
+            let dense = link_prediction(&DenseOnly(&model), &emb, &dataset.test, &filter);
+            assert_eq!(fused, dense, "{name}");
+            // And per-query, on a few triples, through the trait methods.
+            let mut scores = vec![0.0f32; dataset.num_entities()];
+            for &t in dataset.test.iter().take(8) {
+                let f = model.tail_rank(
+                    &emb,
+                    t.head,
+                    t.rel,
+                    t.tail,
+                    filter.tails(t.head, t.rel),
+                    &mut scores,
+                );
+                let d = DenseOnly(&model).tail_rank(
+                    &emb,
+                    t.head,
+                    t.rel,
+                    t.tail,
+                    filter.tails(t.head, t.rel),
+                    &mut scores,
+                );
+                assert_eq!(f.to_bits(), d.to_bits(), "{name} {t:?}");
+            }
         }
     }
 
@@ -909,7 +932,8 @@ mod tests {
 
     /// The fused sampled path (scan over gathered candidate rows) and
     /// the dense default (score all, rank over the sample) must agree
-    /// bit for bit for candidate sets smaller than the entity count.
+    /// bit for bit for candidate sets smaller than the entity count, for
+    /// every query-vector model.
     #[test]
     fn sampled_fused_path_matches_dense_default_exactly() {
         let dataset = eras_data::Preset::Tiny.build(60);
@@ -921,12 +945,19 @@ mod tests {
             16,
             &mut rng,
         );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        for seed in [0u64, 7, 99] {
-            let fused = link_prediction_sampled(&model, &emb, &dataset.test, &filter, 40, seed);
-            let dense =
-                link_prediction_sampled(&DenseOnly(&model), &emb, &dataset.test, &filter, 40, seed);
-            assert_eq!(fused, dense, "seed {seed}");
+        for (name, model) in query_models(&emb, &mut rng) {
+            for seed in [0u64, 7, 99] {
+                let fused = link_prediction_sampled(&model, &emb, &dataset.test, &filter, 40, seed);
+                let dense = link_prediction_sampled(
+                    &DenseOnly(&model),
+                    &emb,
+                    &dataset.test,
+                    &filter,
+                    40,
+                    seed,
+                );
+                assert_eq!(fused, dense, "{name} seed {seed}");
+            }
         }
     }
 
