@@ -13,7 +13,7 @@ use eras_data::Triple;
 use eras_linalg::{Matrix, Rng};
 use eras_sf::numeric::{certify, NormBounds, Role, Var};
 use eras_sf::BlockSf;
-use eras_train::{BlockModel, Embeddings, ScoreModel};
+use eras_train::{BlockModel, Embeddings, QueryModel, ScoreModel};
 
 const SAMPLES_PER_PRESET: usize = 10_000;
 

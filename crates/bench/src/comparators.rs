@@ -11,6 +11,9 @@ use eras_data::{Dataset, FilterIndex};
 use eras_linalg::Rng;
 use eras_train::baselines::{MarginConfig, RotatE, TransE, TransH, TuckEr};
 use eras_train::eval::{link_prediction, LinkPredictionMetrics, ScoreModel};
+use eras_train::hole::HolE;
+use eras_train::mlpe::MlpE;
+use eras_train::quate::QuatE;
 use eras_train::trainer::train_standalone;
 use eras_train::{BlockModel, Embeddings};
 use std::time::Instant;
@@ -154,7 +157,9 @@ pub fn run_comparator(
     profile: &Profile,
 ) -> TrainedModel {
     let started = Instant::now();
-    match comparator {
+    let (seed, dim, epochs) = (profile.seed, profile.train.dim, profile.margin_epochs);
+    let train = &dataset.train;
+    let (model, embeddings) = match comparator {
         Comparator::DistMult | Comparator::ComplEx | Comparator::SimplE | Comparator::Analogy => {
             let sf = match comparator {
                 Comparator::DistMult => eras_sf::zoo::distmult(4),
@@ -170,178 +175,114 @@ pub fn run_comparator(
                 outcome.test,
                 started.elapsed().as_secs_f64(),
             );
-            TrainedModel {
+            return TrainedModel {
                 model: Box::new(model),
                 embeddings: outcome.embeddings,
                 row,
-            }
-        }
-        Comparator::TransE | Comparator::TransH | Comparator::RotatE => {
-            let mut rng = Rng::seed_from_u64(profile.seed);
-            let mut emb = Embeddings::init(
-                dataset.num_entities(),
-                dataset.num_relations(),
-                profile.train.dim,
-                &mut rng,
-            );
-            let cfg = MarginConfig::default();
-            let model: Box<dyn ScoreModel> = match comparator {
-                Comparator::TransE => {
-                    let mut m = TransE::new(&emb, cfg);
-                    for _ in 0..profile.margin_epochs {
-                        m.train_epoch(&mut emb, &dataset.train, filter, &mut rng);
-                    }
-                    Box::new(m)
-                }
-                Comparator::TransH => {
-                    let mut m = TransH::new(&emb, cfg, &mut rng);
-                    for _ in 0..profile.margin_epochs {
-                        m.train_epoch(&mut emb, &dataset.train, filter, &mut rng);
-                    }
-                    Box::new(m)
-                }
-                _ => {
-                    let mut m = RotatE::new(&emb, cfg);
-                    for _ in 0..profile.margin_epochs {
-                        m.train_epoch(&mut emb, &dataset.train, filter, &mut rng);
-                    }
-                    Box::new(m)
-                }
             };
-            let metrics = link_prediction(model.as_ref(), &emb, &dataset.test, filter);
-            let row = EvalRow::new(
-                comparator.name(),
-                &dataset.name,
-                metrics,
-                started.elapsed().as_secs_f64(),
-            );
-            TrainedModel {
-                model,
-                embeddings: emb,
-                row,
-            }
         }
         Comparator::AnyBurl => {
             let model = eras_rules::RuleModel::learn(dataset, &eras_rules::LearnConfig::default());
             let embeddings = model.dummy_embeddings();
-            let metrics = link_prediction(&model, &embeddings, &dataset.test, filter);
-            let row = EvalRow::new(
-                comparator.name(),
-                &dataset.name,
-                metrics,
-                started.elapsed().as_secs_f64(),
-            );
-            TrainedModel {
-                model: Box::new(model),
-                embeddings,
-                row,
-            }
+            (Box::new(model) as Box<dyn ScoreModel>, embeddings)
         }
-        Comparator::HolE => {
-            let mut rng = Rng::seed_from_u64(profile.seed);
-            let mut emb = Embeddings::init(
-                dataset.num_entities(),
-                dataset.num_relations(),
-                profile.train.dim,
-                &mut rng,
-            );
-            let mut m = eras_train::hole::HolE::new(&emb, 0.1, 64);
-            for _ in 0..profile.margin_epochs {
-                m.train_epoch(&mut emb, &dataset.train, &mut rng);
-            }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
-            let row = EvalRow::new(
-                comparator.name(),
-                &dataset.name,
-                metrics,
-                started.elapsed().as_secs_f64(),
-            );
-            TrainedModel {
-                model: Box::new(m),
-                embeddings: emb,
-                row,
-            }
-        }
-        Comparator::QuatE => {
-            let mut rng = Rng::seed_from_u64(profile.seed);
-            let mut emb = Embeddings::init(
-                dataset.num_entities(),
-                dataset.num_relations(),
-                profile.train.dim,
-                &mut rng,
-            );
-            let mut m = eras_train::quate::QuatE::new(&emb, 0.1, 64);
-            for _ in 0..profile.margin_epochs {
-                m.train_epoch(&mut emb, &dataset.train, &mut rng);
-            }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
-            let row = EvalRow::new(
-                comparator.name(),
-                &dataset.name,
-                metrics,
-                started.elapsed().as_secs_f64(),
-            );
-            TrainedModel {
-                model: Box::new(m),
-                embeddings: emb,
-                row,
-            }
-        }
-        Comparator::MlpE => {
-            let mut rng = Rng::seed_from_u64(profile.seed);
-            let mut emb = Embeddings::init(
-                dataset.num_entities(),
-                dataset.num_relations(),
-                profile.train.dim,
-                &mut rng,
-            );
-            let mut m = eras_train::mlpe::MlpE::new(&emb, 2 * profile.train.dim, 0.1, 64, &mut rng);
-            for _ in 0..profile.margin_epochs {
-                m.train_epoch(&mut emb, &dataset.train, &mut rng);
-            }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
-            let row = EvalRow::new(
-                comparator.name(),
-                &dataset.name,
-                metrics,
-                started.elapsed().as_secs_f64(),
-            );
-            TrainedModel {
-                model: Box::new(m),
-                embeddings: emb,
-                row,
-            }
-        }
-        Comparator::TuckEr => {
-            let mut rng = Rng::seed_from_u64(profile.seed);
-            // TuckER's core is d³; cap the dimension to keep its cost in
-            // the same ballpark as the other rows (the paper notes its
-            // O(d³) inference cost in Table I).
-            let dim = profile.train.dim.min(24);
-            let mut emb = Embeddings::init(
-                dataset.num_entities(),
-                dataset.num_relations(),
-                dim,
-                &mut rng,
-            );
-            let mut m = TuckEr::new(&emb, 0.05, &mut rng);
-            for _ in 0..profile.tucker_epochs {
-                m.train_epoch(&mut emb, &dataset.train);
-            }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
-            let row = EvalRow::new(
-                comparator.name(),
-                &dataset.name,
-                metrics,
-                started.elapsed().as_secs_f64(),
-            );
-            TrainedModel {
-                model: Box::new(m),
-                embeddings: emb,
-                row,
-            }
-        }
+        Comparator::TransE => fit(
+            dataset,
+            seed,
+            dim,
+            epochs,
+            |e, _| TransE::new(e, MarginConfig::default()),
+            |m, e, r| m.train_epoch(e, train, filter, r),
+        ),
+        Comparator::TransH => fit(
+            dataset,
+            seed,
+            dim,
+            epochs,
+            |e, r| TransH::new(e, MarginConfig::default(), r),
+            |m, e, r| m.train_epoch(e, train, filter, r),
+        ),
+        Comparator::RotatE => fit(
+            dataset,
+            seed,
+            dim,
+            epochs,
+            |e, _| RotatE::new(e, MarginConfig::default()),
+            |m, e, r| m.train_epoch(e, train, filter, r),
+        ),
+        Comparator::HolE => fit(
+            dataset,
+            seed,
+            dim,
+            epochs,
+            |e, _| HolE::new(e, 0.1, 64),
+            |m, e, r| m.train_epoch(e, train, r),
+        ),
+        Comparator::QuatE => fit(
+            dataset,
+            seed,
+            dim,
+            epochs,
+            |e, _| QuatE::new(e, 0.1, 64),
+            |m, e, r| m.train_epoch(e, train, r),
+        ),
+        Comparator::MlpE => fit(
+            dataset,
+            seed,
+            dim,
+            epochs,
+            |e, r| MlpE::new(e, 2 * dim, 0.1, 64, r),
+            |m, e, r| m.train_epoch(e, train, r),
+        ),
+        // TuckER's core is d³; cap the dimension to keep its cost in
+        // the same ballpark as the other rows (the paper notes its
+        // O(d³) inference cost in Table I).
+        Comparator::TuckEr => fit(
+            dataset,
+            seed,
+            dim.min(24),
+            profile.tucker_epochs,
+            |e, r| TuckEr::new(e, 0.05, r),
+            |m, e, _| m.train_epoch(e, train),
+        ),
+    };
+    let metrics = link_prediction(model.as_ref(), &embeddings, &dataset.test, filter);
+    let row = EvalRow::new(
+        comparator.name(),
+        &dataset.name,
+        metrics,
+        started.elapsed().as_secs_f64(),
+    );
+    TrainedModel {
+        model,
+        embeddings,
+        row,
     }
+}
+
+/// The one training loop of the epoch-trained comparators: embeddings
+/// of width `dim` drawn from `seed`, the model built on them, then
+/// `epochs` calls of its per-epoch step.
+fn fit<M: ScoreModel + 'static>(
+    dataset: &Dataset,
+    seed: u64,
+    dim: usize,
+    epochs: usize,
+    build: impl FnOnce(&Embeddings, &mut Rng) -> M,
+    mut epoch: impl FnMut(&mut M, &mut Embeddings, &mut Rng) -> f32,
+) -> (Box<dyn ScoreModel>, Embeddings) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut emb = Embeddings::init(
+        dataset.num_entities(),
+        dataset.num_relations(),
+        dim,
+        &mut rng,
+    );
+    let mut model = build(&emb, &mut rng);
+    for _ in 0..epochs {
+        epoch(&mut model, &mut emb, &mut rng);
+    }
+    (Box::new(model), emb)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use eras_linalg::{Matrix, Rng};
 use eras_sf::{BlockSf, Op};
 use eras_train::block::evaluate_loss;
 use eras_train::trainer::{train_standalone, TrainConfig};
-use eras_train::{BlockModel, Embeddings};
+use eras_train::{BlockModel, Embeddings, QueryModel};
 
 /// Which ERAS variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,13 +6,18 @@
 //! - [`TuckEr`]: full three-way core tensor trained with the multiclass
 //!   log-loss.
 //!
+//! The three margin models share one epoch, `margin_epoch` (corrupt,
+//! hinge, loss accounting); each keeps only its distance gradient and
+//! its `MarginModel::apply` step. TuckER is a [`QueryModel`] and keeps
+//! its own full-softmax step.
+//!
 //! All gradients are closed-form; the test suite checks each against
 //! finite differences. The remaining Table VI rows (ConvE, HypER, NTN,
-//! HolEX, QuatE, AnyBURL) are reported from the literature only — see
+//! HolEX, AnyBURL) are reported from the literature only — see
 //! DESIGN.md §2 for the substitution rationale.
 
 use crate::embeddings::Embeddings;
-use crate::eval::ScoreModel;
+use crate::eval::{QueryModel, ScoreModel};
 use crate::grads::{TransHGrads, TripleGrads, TuckErGrads};
 use crate::negative::corrupt;
 use eras_data::{FilterIndex, Triple};
@@ -41,6 +46,115 @@ impl Default for MarginConfig {
     }
 }
 
+/// The state every margin trainer carries: its hyperparameters, the
+/// entity/relation Adagrad pair and one scratch gradient row.
+#[derive(Debug, Clone)]
+pub(crate) struct MarginState {
+    cfg: MarginConfig,
+    opt_entity: Adagrad,
+    opt_relation: Adagrad,
+    grad: Vec<f32>,
+}
+
+impl MarginState {
+    fn new(emb: &Embeddings, cfg: MarginConfig) -> Self {
+        MarginState {
+            opt_entity: Adagrad::new(emb.entity.as_slice().len(), cfg.lr, 0.0),
+            opt_relation: Adagrad::new(emb.relation.as_slice().len(), cfg.lr, 0.0),
+            grad: vec![0.0; emb.dim()],
+            cfg,
+        }
+    }
+
+    /// Step the head row, the tail row and the relation row of `triple`
+    /// by `sign ·` their gradients, in that order.
+    fn step_rows(
+        &mut self,
+        emb: &mut Embeddings,
+        triple: Triple,
+        sign: f32,
+        head: &[f32],
+        tail: &[f32],
+        rel: &[f32],
+    ) {
+        let dim = emb.dim();
+        for (row, g) in [(triple.head, head), (triple.tail, tail)] {
+            vecops::scaled_copy(sign, g, &mut self.grad);
+            self.opt_entity
+                .step_at(emb.entity.as_mut_slice(), row as usize * dim, &self.grad);
+        }
+        vecops::scaled_copy(sign, rel, &mut self.grad);
+        self.opt_relation.step_at(
+            emb.relation.as_mut_slice(),
+            triple.rel as usize * dim,
+            &self.grad,
+        );
+    }
+}
+
+/// A distance model trained by [`margin_epoch`].
+pub(crate) trait MarginModel: ScoreModel {
+    /// The shared trainer state.
+    fn state(&self) -> &MarginState;
+
+    /// Step the parameters of `triple` by `sign ·` the gradient of its
+    /// distance (`+1` for the positive, `−1` for the negative).
+    fn apply(&mut self, emb: &mut Embeddings, triple: Triple, sign: f32);
+
+    /// Runs after both triples of a violating pair were applied.
+    /// Nothing by default.
+    fn after_pair(&mut self, _emb: &mut Embeddings, _pos: Triple, _neg: Triple) {}
+}
+
+/// One pass over `train` with the margin loss `max(0, γ − s⁺ + s⁻)`:
+/// `negatives` filtered corruptions per positive, and every violating
+/// pair steps the positive down and the negative up its distance
+/// gradient. Returns the mean loss over all pairs.
+pub(crate) fn margin_epoch<M: MarginModel>(
+    model: &mut M,
+    emb: &mut Embeddings,
+    train: &[Triple],
+    filter: &FilterIndex,
+    rng: &mut Rng,
+) -> f32 {
+    let num_entities = emb.num_entities();
+    let MarginConfig {
+        margin, negatives, ..
+    } = model.state().cfg;
+    let mut total = 0.0f32;
+    let mut count = 0usize;
+    for &pos in train {
+        for _ in 0..negatives {
+            let neg = corrupt(pos, num_entities, filter, rng);
+            let s_pos = model.score_triple(emb, pos);
+            let s_neg = model.score_triple(emb, neg);
+            let loss = (margin - s_pos + s_neg).max(0.0);
+            total += loss;
+            count += 1;
+            if loss <= 0.0 {
+                continue;
+            }
+            // ∂loss/∂pos = −∂s⁺ = +∂dist⁺; ∂loss/∂neg = +∂s⁻ = −∂dist⁻.
+            model.apply(emb, pos, 1.0);
+            model.apply(emb, neg, -1.0);
+            model.after_pair(emb, pos, neg);
+        }
+    }
+    if count > 0 {
+        total / count as f32
+    } else {
+        0.0
+    }
+}
+
+/// The entity norm constraint of the TransE paper, applied to the four
+/// entity rows of a violating pair.
+fn project_pair_unit_ball(emb: &mut Embeddings, pos: Triple, neg: Triple) {
+    for e in [pos.head, pos.tail, neg.head, neg.tail] {
+        vecops::project_unit_ball(emb.entity.row_mut(e as usize));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // TransE
 // ---------------------------------------------------------------------------
@@ -48,18 +162,16 @@ impl Default for MarginConfig {
 /// TransE (Bordes et al., 2013): `score = −‖h + r − t‖²`.
 #[derive(Debug, Clone)]
 pub struct TransE {
-    cfg: MarginConfig,
-    opt_entity: Adagrad,
-    opt_relation: Adagrad,
+    state: MarginState,
+    g: TripleGrads,
 }
 
 impl TransE {
     /// Create a trainer for the given embedding shapes.
     pub fn new(emb: &Embeddings, cfg: MarginConfig) -> Self {
         TransE {
-            opt_entity: Adagrad::new(emb.entity.as_slice().len(), cfg.lr, 0.0),
-            opt_relation: Adagrad::new(emb.relation.as_slice().len(), cfg.lr, 0.0),
-            cfg,
+            state: MarginState::new(emb, cfg),
+            g: TripleGrads::new(emb.dim()),
         }
     }
 
@@ -100,55 +212,24 @@ impl TransE {
         filter: &FilterIndex,
         rng: &mut Rng,
     ) -> f32 {
-        let dim = emb.dim();
-        let num_entities = emb.num_entities();
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        let mut g = TripleGrads::new(dim);
-        let mut grad = vec![0.0f32; dim];
-        for &pos in train {
-            for _ in 0..self.cfg.negatives {
-                let neg = corrupt(pos, num_entities, filter, rng);
-                let s_pos = Self::score_raw(emb, pos);
-                let s_neg = Self::score_raw(emb, neg);
-                let loss = (self.cfg.margin - s_pos + s_neg).max(0.0);
-                total += loss;
-                count += 1;
-                if loss <= 0.0 {
-                    continue;
-                }
-                // ∂loss/∂(h,r,t) for positive: −∂s⁺ = +∂dist⁺; for the
-                // negative: +∂s⁻ = −∂dist⁻.
-                for (triple, sign) in [(pos, 1.0f32), (neg, -1.0f32)] {
-                    let (h, r, t) = (triple.head, triple.rel, triple.tail);
-                    Self::distance_grads(emb, triple, &mut g);
-                    for k in 0..dim {
-                        grad[k] = sign * g.head[k];
-                    }
-                    self.opt_entity
-                        .step_at(emb.entity.as_mut_slice(), h as usize * dim, &grad);
-                    for k in 0..dim {
-                        grad[k] = sign * g.rel[k];
-                    }
-                    self.opt_relation
-                        .step_at(emb.relation.as_mut_slice(), r as usize * dim, &grad);
-                    for k in 0..dim {
-                        grad[k] = sign * g.tail[k];
-                    }
-                    self.opt_entity
-                        .step_at(emb.entity.as_mut_slice(), t as usize * dim, &grad);
-                }
-                // Entity norm constraint from the TransE paper.
-                for e in [pos.head, pos.tail, neg.head, neg.tail] {
-                    vecops::project_unit_ball(emb.entity.row_mut(e as usize));
-                }
-            }
-        }
-        if count > 0 {
-            total / count as f32
-        } else {
-            0.0
-        }
+        margin_epoch(self, emb, train, filter, rng)
+    }
+}
+
+impl MarginModel for TransE {
+    fn state(&self) -> &MarginState {
+        &self.state
+    }
+
+    fn apply(&mut self, emb: &mut Embeddings, triple: Triple, sign: f32) {
+        Self::distance_grads(emb, triple, &mut self.g);
+        let g = &self.g;
+        self.state
+            .step_rows(emb, triple, sign, &g.head, &g.tail, &g.rel);
+    }
+
+    fn after_pair(&mut self, emb: &mut Embeddings, pos: Triple, neg: Triple) {
+        project_pair_unit_ball(emb, pos, neg);
     }
 }
 
@@ -195,12 +276,11 @@ impl ScoreModel for TransE {
 /// this struct (kept approximately unit-norm by projection).
 #[derive(Debug, Clone)]
 pub struct TransH {
-    cfg: MarginConfig,
+    state: MarginState,
     /// Hyperplane normals, `N_r × d`.
     pub normals: eras_linalg::Matrix,
-    opt_entity: Adagrad,
-    opt_relation: Adagrad,
     opt_normals: Adagrad,
+    g: TransHGrads,
 }
 
 impl TransH {
@@ -216,11 +296,10 @@ impl TransH {
             }
         }
         TransH {
-            opt_entity: Adagrad::new(emb.entity.as_slice().len(), cfg.lr, 0.0),
-            opt_relation: Adagrad::new(emb.relation.as_slice().len(), cfg.lr, 0.0),
             opt_normals: Adagrad::new(normals.as_slice().len(), cfg.lr * 0.5, 0.0),
             normals,
-            cfg,
+            g: TransHGrads::new(emb.dim()),
+            state: MarginState::new(emb, cfg),
         }
     }
 
@@ -249,11 +328,16 @@ impl TransH {
 
     /// Gradient of the hyperplane distance `‖h⊥ + r − t⊥‖²` (= −score)
     /// with respect to the triple's rows and the normal `w_r`. Pure:
-    /// reads `emb` and `self.normals`, writes only `g`.
-    pub fn distance_grads(&self, emb: &Embeddings, t: Triple, g: &mut TransHGrads) {
+    /// reads `emb` and `normals`, writes only `g`.
+    pub fn distance_grads(
+        normals: &eras_linalg::Matrix,
+        emb: &Embeddings,
+        t: Triple,
+        g: &mut TransHGrads,
+    ) {
         let dim = emb.dim();
         let (hid, rid, tid) = (t.head as usize, t.rel as usize, t.tail as usize);
-        let w = self.normals.row(rid);
+        let w = normals.row(rid);
         let h_row = emb.entity.row(hid);
         let t_row = emb.entity.row(tid);
         let mut hp = vec![0.0f32; dim];
@@ -289,67 +373,35 @@ impl TransH {
         filter: &FilterIndex,
         rng: &mut Rng,
     ) -> f32 {
-        let dim = emb.dim();
-        let num_entities = emb.num_entities();
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        let mut g = TransHGrads::new(dim);
-        let mut grad = vec![0.0f32; dim];
-        for &pos in train {
-            for _ in 0..self.cfg.negatives {
-                let neg = corrupt(pos, num_entities, filter, rng);
-                let s_pos = self.score_raw(emb, pos);
-                let s_neg = self.score_raw(emb, neg);
-                let loss = (self.cfg.margin - s_pos + s_neg).max(0.0);
-                total += loss;
-                count += 1;
-                if loss <= 0.0 {
-                    continue;
-                }
-                for (triple, sign) in [(pos, 1.0f32), (neg, -1.0f32)] {
-                    let (hid, rid, tid) = (
-                        triple.head as usize,
-                        triple.rel as usize,
-                        triple.tail as usize,
-                    );
-                    self.distance_grads(emb, triple, &mut g);
-                    for k in 0..dim {
-                        grad[k] = sign * g.head[k];
-                    }
-                    self.opt_entity
-                        .step_at(emb.entity.as_mut_slice(), hid * dim, &grad);
-                    for k in 0..dim {
-                        grad[k] = sign * g.tail[k];
-                    }
-                    self.opt_entity
-                        .step_at(emb.entity.as_mut_slice(), tid * dim, &grad);
-                    for k in 0..dim {
-                        grad[k] = sign * g.rel[k];
-                    }
-                    self.opt_relation
-                        .step_at(emb.relation.as_mut_slice(), rid * dim, &grad);
-                    for k in 0..dim {
-                        grad[k] = sign * g.normal[k];
-                    }
-                    self.opt_normals
-                        .step_at(self.normals.as_mut_slice(), rid * dim, &grad);
-                    // Re-normalise the hyperplane normal.
-                    let row = self.normals.row_mut(rid);
-                    let n = vecops::norm(row);
-                    if n > 0.0 {
-                        vecops::scale(1.0 / n, row);
-                    }
-                }
-                for e in [pos.head, pos.tail, neg.head, neg.tail] {
-                    vecops::project_unit_ball(emb.entity.row_mut(e as usize));
-                }
-            }
+        margin_epoch(self, emb, train, filter, rng)
+    }
+}
+
+impl MarginModel for TransH {
+    fn state(&self) -> &MarginState {
+        &self.state
+    }
+
+    /// The three rows, then the hyperplane normal, re-normalised.
+    fn apply(&mut self, emb: &mut Embeddings, triple: Triple, sign: f32) {
+        Self::distance_grads(&self.normals, emb, triple, &mut self.g);
+        let g = &self.g;
+        self.state
+            .step_rows(emb, triple, sign, &g.head, &g.tail, &g.rel);
+        let rid = triple.rel as usize;
+        let grad = &mut self.state.grad;
+        vecops::scaled_copy(sign, &g.normal, grad);
+        self.opt_normals
+            .step_at(self.normals.as_mut_slice(), rid * emb.dim(), grad);
+        let row = self.normals.row_mut(rid);
+        let n = vecops::norm(row);
+        if n > 0.0 {
+            vecops::scale(1.0 / n, row);
         }
-        if count > 0 {
-            total / count as f32
-        } else {
-            0.0
-        }
+    }
+
+    fn after_pair(&mut self, emb: &mut Embeddings, pos: Triple, neg: Triple) {
+        project_pair_unit_ball(emb, pos, neg);
     }
 }
 
@@ -397,9 +449,8 @@ impl ScoreModel for TransH {
 /// row. `score = −Σ_k |h_k · e^{iθ_k} − t_k|`.
 #[derive(Debug, Clone)]
 pub struct RotatE {
-    cfg: MarginConfig,
-    opt_entity: Adagrad,
-    opt_relation: Adagrad,
+    state: MarginState,
+    g: TripleGrads,
 }
 
 impl RotatE {
@@ -407,9 +458,8 @@ impl RotatE {
     pub fn new(emb: &Embeddings, cfg: MarginConfig) -> Self {
         assert_eq!(emb.dim() % 2, 0, "RotatE needs an even dimension");
         RotatE {
-            opt_entity: Adagrad::new(emb.entity.as_slice().len(), cfg.lr, 0.0),
-            opt_relation: Adagrad::new(emb.relation.as_slice().len(), cfg.lr, 0.0),
-            cfg,
+            state: MarginState::new(emb, cfg),
+            g: TripleGrads::new(emb.dim()),
         }
     }
 
@@ -462,38 +512,6 @@ impl RotatE {
         }
     }
 
-    /// Scale `g` by `weight` and hand the three rows to the optimizers.
-    fn apply_weighted(
-        &mut self,
-        emb: &mut Embeddings,
-        triple: Triple,
-        weight: f32,
-        g: &TripleGrads,
-        grad: &mut [f32],
-    ) {
-        let dim = emb.dim();
-        let (hid, rid, tid) = (
-            triple.head as usize,
-            triple.rel as usize,
-            triple.tail as usize,
-        );
-        for k in 0..dim {
-            grad[k] = weight * g.head[k];
-        }
-        self.opt_entity
-            .step_at(emb.entity.as_mut_slice(), hid * dim, grad);
-        for k in 0..dim {
-            grad[k] = weight * g.tail[k];
-        }
-        self.opt_entity
-            .step_at(emb.entity.as_mut_slice(), tid * dim, grad);
-        for k in 0..dim {
-            grad[k] = weight * g.rel[k];
-        }
-        self.opt_relation
-            .step_at(emb.relation.as_mut_slice(), rid * dim, grad);
-    }
-
     /// One margin-loss epoch. Returns the mean loss.
     pub fn train_epoch(
         &mut self,
@@ -502,88 +520,20 @@ impl RotatE {
         filter: &FilterIndex,
         rng: &mut Rng,
     ) -> f32 {
-        let dim = emb.dim();
-        let num_entities = emb.num_entities();
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        let mut g = TripleGrads::new(dim);
-        let mut grad = vec![0.0f32; dim];
-        for &pos in train {
-            for _ in 0..self.cfg.negatives {
-                let neg = corrupt(pos, num_entities, filter, rng);
-                let s_pos = Self::score_raw(emb, pos);
-                let s_neg = Self::score_raw(emb, neg);
-                let loss = (self.cfg.margin - s_pos + s_neg).max(0.0);
-                total += loss;
-                count += 1;
-                if loss <= 0.0 {
-                    continue;
-                }
-                for (triple, sign) in [(pos, 1.0f32), (neg, -1.0f32)] {
-                    Self::distance_grads(emb, triple, &mut g);
-                    self.apply_weighted(emb, triple, sign, &g, &mut grad);
-                }
-            }
-        }
-        if count > 0 {
-            total / count as f32
-        } else {
-            0.0
-        }
+        margin_epoch(self, emb, train, filter, rng)
     }
 }
 
-impl RotatE {
-    /// One epoch with RotatE's *self-adversarial* negative sampling
-    /// (Sun et al. 2019): per positive, `k` negatives are drawn and their
-    /// loss terms weighted by `softmax(alpha · score)` — hard negatives
-    /// get more gradient. Loss per example:
-    /// `−log σ(γ + s⁺) − Σ_i p_i log σ(−s⁻_i − γ)` with `s = −distance`
-    /// and the weights `p_i` treated as constants.
-    pub fn train_epoch_self_adversarial(
-        &mut self,
-        emb: &mut Embeddings,
-        train: &[Triple],
-        filter: &FilterIndex,
-        k: usize,
-        alpha: f32,
-        rng: &mut Rng,
-    ) -> f32 {
-        use eras_linalg::softmax::{sigmoid, softmax_inplace, softplus};
-        let dim = emb.dim();
-        let num_entities = emb.num_entities();
-        let gamma = self.cfg.margin;
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        let mut g = TripleGrads::new(dim);
-        let mut grad = vec![0.0f32; dim];
+impl MarginModel for RotatE {
+    fn state(&self) -> &MarginState {
+        &self.state
+    }
 
-        for &pos in train {
-            let d_pos = -Self::score_raw(emb, pos);
-            // Positive term: −log σ(γ − d⁺); ∂/∂d⁺ = σ(d⁺ − γ).
-            total += softplus(d_pos - gamma);
-            Self::distance_grads(emb, pos, &mut g);
-            self.apply_weighted(emb, pos, sigmoid(d_pos - gamma), &g, &mut grad);
-            // Negatives with self-adversarial weights.
-            let negs: Vec<Triple> = (0..k.max(1))
-                .map(|_| corrupt(pos, num_entities, filter, rng))
-                .collect();
-            let dists: Vec<f32> = negs.iter().map(|&n| -Self::score_raw(emb, n)).collect();
-            let mut weights: Vec<f32> = dists.iter().map(|&d| -alpha * d).collect();
-            softmax_inplace(&mut weights);
-            for ((&neg, &d_neg), &p) in negs.iter().zip(&dists).zip(&weights) {
-                // Term: −p · log σ(d⁻ − γ); ∂/∂d⁻ = −p σ(γ − d⁻).
-                total += p * softplus(gamma - d_neg);
-                Self::distance_grads(emb, neg, &mut g);
-                self.apply_weighted(emb, neg, -p * sigmoid(gamma - d_neg), &g, &mut grad);
-            }
-            count += 1;
-        }
-        if count > 0 {
-            total / count as f32
-        } else {
-            0.0
-        }
+    fn apply(&mut self, emb: &mut Embeddings, triple: Triple, sign: f32) {
+        Self::distance_grads(emb, triple, &mut self.g);
+        let g = &self.g;
+        self.state
+            .step_rows(emb, triple, sign, &g.head, &g.tail, &g.rel);
     }
 }
 
@@ -812,35 +762,13 @@ impl TuckEr {
     }
 }
 
-impl ScoreModel for TuckEr {
-    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
-        let mut v = vec![0.0f32; self.dim];
-        self.tail_vec(
-            emb.entity.row(h as usize),
-            emb.relation.row(r as usize),
-            &mut v,
-        );
-        emb.entity.matvec(&v, out);
+impl QueryModel for TuckEr {
+    fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
+        self.tail_vec(emb.entity.row(h as usize), emb.relation.row(r as usize), q);
     }
 
-    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
-        let mut u = vec![0.0f32; self.dim];
-        self.head_vec(
-            emb.entity.row(t as usize),
-            emb.relation.row(r as usize),
-            &mut u,
-        );
-        emb.entity.matvec(&u, out);
-    }
-
-    fn score_triple(&self, emb: &Embeddings, t: Triple) -> f32 {
-        let mut v = vec![0.0f32; self.dim];
-        self.tail_vec(
-            emb.entity.row(t.head as usize),
-            emb.relation.row(t.rel as usize),
-            &mut v,
-        );
-        vecops::dot(&v, emb.entity.row(t.tail as usize))
+    fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
+        self.head_vec(emb.entity.row(t as usize), emb.relation.row(r as usize), q);
     }
 }
 
@@ -986,28 +914,6 @@ mod tests {
             "fd {fd} vs -analytic {}",
             -analytic
         );
-    }
-
-    #[test]
-    fn rotate_self_adversarial_training_learns() {
-        let (mut emb, filter, train, mut rng) = setup(8);
-        let mut model = RotatE::new(&emb, MarginConfig::default());
-        let first = model.train_epoch_self_adversarial(&mut emb, &train, &filter, 4, 1.0, &mut rng);
-        let mut last = first;
-        for _ in 0..50 {
-            last = model.train_epoch_self_adversarial(&mut emb, &train, &filter, 4, 1.0, &mut rng);
-        }
-        assert!(last < first, "loss {first} -> {last}");
-        // Positives should outrank fresh corruptions.
-        let mut wins = 0;
-        for i in 0..60 {
-            let pos = train[i % train.len()];
-            let neg = corrupt(pos, 10, &filter, &mut rng);
-            if model.score_triple(&emb, pos) > model.score_triple(&emb, neg) {
-                wins += 1;
-            }
-        }
-        assert!(wins > 40, "{wins}/60");
     }
 
     #[test]

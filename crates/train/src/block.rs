@@ -34,12 +34,11 @@
 //! than the positive + sampled rows.
 
 use crate::embeddings::Embeddings;
-use crate::eval::{CandidateSet, ScoreModel};
+use crate::eval::QueryModel;
 use crate::loss::{Corruption, LossMode};
 use crate::negative::{sample_neg_block, NegCtx};
 use eras_data::Triple;
 use eras_linalg::optim::Optimizer;
-use eras_linalg::scan::{scan_rows, RankTally};
 use eras_linalg::softmax::{log_loss_and_residual, neg_sampling_loss_and_residual};
 use eras_linalg::vecops;
 use eras_linalg::Rng;
@@ -150,26 +149,6 @@ impl BlockModel {
         dim / self.m
     }
 
-    /// Build the tail-query vector: `score(t') = ⟨q, E[t']⟩`.
-    pub fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
-        self.query_with(
-            self.sf_for(r),
-            emb.entity.row(h as usize),
-            emb.relation.row(r as usize),
-            q,
-        );
-    }
-
-    /// Build the head-query vector: `score(h') = ⟨q, E[h']⟩`.
-    pub fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
-        self.query_with(
-            self.sf_for_transposed(r),
-            emb.entity.row(t as usize),
-            emb.relation.row(r as usize),
-            q,
-        );
-    }
-
     /// `q_j += sign · (x_i ⊙ r_b)` over the non-zero cells of `sf`.
     // audit:allow(E701): nonzero_cells yields i, j < M with block ops
     // (expect cannot fire), and b < M by BlockSf's grid invariant, so
@@ -220,116 +199,23 @@ impl BlockModel {
     }
 }
 
-/// Rank `target` among all entities scored against the query vector
-/// `q`, via the fused entity-table scan: the target's score is one dot
-/// product, every other candidate's score streams through a
-/// [`RankTally`] without materializing a score vector. Each streamed
-/// score is bit-identical to the matvec the dense default would rank
-/// over, so this returns exactly what
-/// `filtered_rank(E·q, target, filtered)` does.
-fn rank_with_query(emb: &Embeddings, q: &[f32], target: u32, filtered: &[u32]) -> f64 {
-    let target_score = vecops::dot(emb.entity.row(target as usize), q);
-    let mut tally = RankTally::new(target, target_score, filtered);
-    scan_rows(&emb.entity, q, std::slice::from_mut(&mut tally));
-    tally.rank()
-}
-
-/// Sampled counterpart of [`rank_with_query`]: stream the gathered
-/// candidate rows instead of the whole entity table. Global ids map to
-/// candidate slots (both sorted, so the filtered remap preserves
-/// order); a target outside the sample maps to the `u32::MAX` sentinel
-/// no slot can match — its score still anchors the tally, so the true
-/// answer always competes and is never filtered.
-fn rank_with_query_sampled(
-    emb: &Embeddings,
-    q: &[f32],
-    target: u32,
-    filtered: &[u32],
-    cand: &CandidateSet,
-) -> f64 {
-    let target_score = vecops::dot(emb.entity.row(target as usize), q);
-    let local_target = cand.local_of(target).unwrap_or(u32::MAX);
-    let local_filt: Vec<u32> = filtered.iter().filter_map(|&f| cand.local_of(f)).collect();
-    let mut tally = RankTally::new(local_target, target_score, &local_filt);
-    scan_rows(cand.rows(), q, std::slice::from_mut(&mut tally));
-    tally.rank()
-}
-
-impl ScoreModel for BlockModel {
-    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
-        let mut q = vec![0.0; emb.dim()];
-        self.tail_query(emb, h, r, &mut q);
-        emb.entity.matvec(&q, out);
+impl QueryModel for BlockModel {
+    fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
+        self.query_with(
+            self.sf_for(r),
+            emb.entity.row(h as usize),
+            emb.relation.row(r as usize),
+            q,
+        );
     }
 
-    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
-        let mut q = vec![0.0; emb.dim()];
-        self.head_query(emb, t, r, &mut q);
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_triple(&self, emb: &Embeddings, triple: Triple) -> f32 {
-        let mut q = vec![0.0; emb.dim()];
-        self.tail_query(emb, triple.head, triple.rel, &mut q);
-        vecops::dot(&q, emb.entity.row(triple.tail as usize))
-    }
-
-    fn tail_rank(
-        &self,
-        emb: &Embeddings,
-        h: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        _scores: &mut [f32],
-    ) -> f64 {
-        let mut q = vec![0.0; emb.dim()];
-        self.tail_query(emb, h, r, &mut q);
-        rank_with_query(emb, &q, target, filtered)
-    }
-
-    fn head_rank(
-        &self,
-        emb: &Embeddings,
-        t: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        _scores: &mut [f32],
-    ) -> f64 {
-        let mut q = vec![0.0; emb.dim()];
-        self.head_query(emb, t, r, &mut q);
-        rank_with_query(emb, &q, target, filtered)
-    }
-
-    fn tail_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        h: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        _scores: &mut [f32],
-    ) -> f64 {
-        let mut q = vec![0.0; emb.dim()];
-        self.tail_query(emb, h, r, &mut q);
-        rank_with_query_sampled(emb, &q, target, filtered, cand)
-    }
-
-    fn head_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        t: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        _scores: &mut [f32],
-    ) -> f64 {
-        let mut q = vec![0.0; emb.dim()];
-        self.head_query(emb, t, r, &mut q);
-        rank_with_query_sampled(emb, &q, target, filtered, cand)
+    fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
+        self.query_with(
+            self.sf_for_transposed(r),
+            emb.entity.row(t as usize),
+            emb.relation.row(r as usize),
+            q,
+        );
     }
 }
 
@@ -676,6 +562,7 @@ pub fn evaluate_loss(model: &BlockModel, emb: &Embeddings, triples: &[Triple]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::ScoreModel;
     use eras_linalg::optim::{Adagrad, Sgd};
     use eras_sf::zoo;
 

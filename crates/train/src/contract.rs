@@ -23,6 +23,7 @@ use crate::hole::HolE;
 use crate::loss::LossMode;
 use crate::mlpe::MlpE;
 use crate::negative::sample_neg_block;
+use crate::one_vs_all::SampledModel;
 use crate::quate::QuatE;
 use eras_data::Triple;
 use eras_linalg::optim::Sgd;
@@ -444,7 +445,7 @@ impl GradCase for TransHCase {
         let mut grad = vec![0.0f32; params.len()];
         let mut g = TransHGrads::new(dim);
         for (triple, sign) in [(self.pos, 1.0f32), (self.neg, -1.0f32)] {
-            model.distance_grads(&emb, triple, &mut g);
+            TransH::distance_grads(&model.normals, &emb, triple, &mut g);
             for k in 0..dim {
                 grad[triple.head as usize * dim + k] += sign * g.head[k];
                 grad[triple.tail as usize * dim + k] += sign * g.tail[k];
@@ -614,6 +615,7 @@ enum QueryKind {
 struct QueryModelCase {
     emb: Embeddings,
     kind: QueryKind,
+    model: Box<dyn SampledModel<Grads = SideGrads> + Send + Sync>,
     tail_side: bool,
     anchor: u32,
     rel: u32,
@@ -629,9 +631,14 @@ impl QueryModelCase {
         let target = 2u32;
         let mut candidates = vec![target];
         candidates.extend((0..6u32).filter(|&c| c != target));
+        let model: Box<dyn SampledModel<Grads = SideGrads> + Send + Sync> = match kind {
+            QueryKind::HolE => Box::new(HolE::new(&emb, 0.1, 1)),
+            QueryKind::QuatE => Box::new(QuatE::new(&emb, 0.1, 1)),
+        };
         QueryModelCase {
             emb,
             kind,
+            model,
             tail_side,
             anchor: 1,
             rel: 0,
@@ -648,24 +655,14 @@ impl QueryModelCase {
     }
 
     fn side_grads(&self, emb: &Embeddings, g: &mut SideGrads) {
-        match self.kind {
-            QueryKind::HolE => HolE::side_grads(
-                emb,
-                self.anchor,
-                self.rel,
-                &self.candidates,
-                self.tail_side,
-                g,
-            ),
-            QueryKind::QuatE => QuatE::side_grads(
-                emb,
-                self.anchor,
-                self.rel,
-                &self.candidates,
-                self.tail_side,
-                g,
-            ),
-        }
+        self.model.side_grads(
+            emb,
+            self.anchor,
+            self.rel,
+            &self.candidates,
+            self.tail_side,
+            g,
+        );
     }
 }
 
@@ -790,8 +787,8 @@ impl GradCase for MlpECase {
     fn loss(&self, params: &[f32]) -> f32 {
         let (emb, model) = self.rebuild(params);
         let mut g = MlpSideGrads::new(emb.dim(), model.hidden());
-        model.side_grads(&emb, self.anchor, self.rel, &self.candidates, &mut g);
-        g.loss
+        model.side_grads(&emb, self.anchor, self.rel, &self.candidates, true, &mut g);
+        g.side.loss
     }
 
     fn grad(&self, params: &[f32]) -> Vec<f32> {
@@ -801,28 +798,24 @@ impl GradCase for MlpECase {
         let ne_len = emb.entity.as_slice().len();
         let np = emb.num_parameters();
         let mut g = MlpSideGrads::new(d, h);
-        model.side_grads(&emb, self.anchor, self.rel, &self.candidates, &mut g);
+        model.side_grads(&emb, self.anchor, self.rel, &self.candidates, true, &mut g);
 
         let mut grad = vec![0.0f32; params.len()];
         for (slot, &c) in self.candidates.iter().enumerate() {
             for k in 0..d {
-                grad[c as usize * d + k] += g.resid[slot] * g.q[k];
+                grad[c as usize * d + k] += g.side.resid[slot] * g.side.q[k];
             }
         }
-        let anchor_row: Vec<f32> = emb.entity.row(self.anchor as usize).to_vec();
-        let rel_row: Vec<f32> = emb.relation.row(self.rel as usize).to_vec();
         for k in 0..d {
-            grad[self.anchor as usize * d + k] += g.anchor[k];
-            grad[ne_len + self.rel as usize * d + k] += g.rel[k];
+            grad[self.anchor as usize * d + k] += g.side.anchor[k];
+            grad[ne_len + self.rel as usize * d + k] += g.side.rel[k];
         }
         // Network layers: W1 rows = d_hid[j]·[h ; r], b1 = d_hid,
         // W2 rows = g_q[i]·hid, b2 = g_q.
         let w1_off = np;
         for j in 0..h {
-            let gz = g.d_hid[j];
-            for k in 0..d {
-                grad[w1_off + j * 2 * d + k] = gz * anchor_row[k];
-                grad[w1_off + j * 2 * d + d + k] = gz * rel_row[k];
+            for k in 0..2 * d {
+                grad[w1_off + j * 2 * d + k] = g.d_hid[j] * g.input[k];
             }
         }
         let b1_off = w1_off + h * 2 * d;
@@ -830,11 +823,11 @@ impl GradCase for MlpECase {
         let w2_off = b1_off + h;
         for i in 0..d {
             for j in 0..h {
-                grad[w2_off + i * h + j] = g.g_q[i] * g.hid[j];
+                grad[w2_off + i * h + j] = g.side.g_q[i] * g.hid[j];
             }
         }
         let b2_off = w2_off + d * h;
-        grad[b2_off..b2_off + d].copy_from_slice(&g.g_q);
+        grad[b2_off..b2_off + d].copy_from_slice(&g.side.g_q);
         grad
     }
 }

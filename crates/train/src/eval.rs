@@ -11,7 +11,8 @@ use crate::embeddings::Embeddings;
 use eras_data::patterns::RelationPattern;
 use eras_data::{Dataset, FilterIndex, Triple};
 use eras_linalg::pool::ThreadPool;
-use eras_linalg::{Matrix, Rng};
+use eras_linalg::scan::{scan_rows, RankTally};
+use eras_linalg::{vecops, Matrix, Rng};
 
 /// How ranking candidates are materialised during evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,9 +102,10 @@ impl CandidateSet {
 
 /// Anything that can score candidates for both query directions.
 ///
-/// Implemented by [`crate::BlockModel`] and every baseline in
-/// [`crate::baselines`]; the evaluator and the classification harness are
-/// generic over it.
+/// Every [`QueryModel`] gets it from the blanket impl below; the
+/// distance models (TransE, TransH, RotatE) and the rule learner
+/// implement it directly. The evaluator and the classification harness
+/// are generic over it.
 pub trait ScoreModel {
     /// Scores of `(h, r, t')` for every entity `t'` into `out`.
     fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]);
@@ -116,7 +118,7 @@ pub trait ScoreModel {
     /// `(h, r, ?)`. `scores` is an `num_entities`-sized scratch buffer
     /// for the default dense path (score everything, then
     /// [`filtered_rank`]); implementations with a streaming scoring
-    /// path — [`crate::BlockModel`] uses the fused entity-table scan —
+    /// path — every [`QueryModel`] uses the fused entity-table scan —
     /// may override and ignore it. Overrides must return exactly what
     /// the default computes.
     fn tail_rank(
@@ -150,8 +152,8 @@ pub trait ScoreModel {
     /// Filtered average-tie rank of `target` as the answer to
     /// `(h, r, ?)` among `cand ∪ {target}` — the sampled protocol. The
     /// default scores everything and ranks over the sample;
-    /// implementations with a streaming path (BlockModel scans the
-    /// gathered candidate rows) may override. Overrides must return
+    /// implementations with a streaming path (a [`QueryModel`] scans
+    /// the gathered candidate rows) may override. Overrides must return
     /// exactly what the default computes.
     #[allow(clippy::too_many_arguments)]
     fn tail_rank_sampled(
@@ -196,7 +198,7 @@ impl ScoreModel for Box<dyn ScoreModel> {
     fn score_triple(&self, emb: &Embeddings, triple: Triple) -> f32 {
         self.as_ref().score_triple(emb, triple)
     }
-    // Forward the rank methods too, so a boxed BlockModel keeps its
+    // Forward the rank methods too, so a boxed query model keeps its
     // fused-scan override instead of falling back to the dense default.
     fn tail_rank(
         &self,
@@ -245,6 +247,135 @@ impl ScoreModel for Box<dyn ScoreModel> {
     ) -> f64 {
         self.as_ref()
             .head_rank_sampled(emb, t, r, target, filtered, cand, scores)
+    }
+}
+
+/// A model that scores by inner product with a query vector:
+/// `score(h, r, t) = ⟨q_tail(h, r), E[t]⟩ = ⟨q_head(t, r), E[h]⟩`.
+///
+/// BlockModel, HolE, QuatE, TuckER and MlpE supply only these two
+/// builders; the blanket [`ScoreModel`] impl scores and ranks all of
+/// them with the same code, the fused entity-table scan included.
+pub trait QueryModel {
+    /// Build the tail-query vector: `score(t') = ⟨q, E[t']⟩`.
+    fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]);
+    /// Build the head-query vector: `score(h') = ⟨q, E[h']⟩`.
+    fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]);
+}
+
+/// A fresh tail-query vector of `model`.
+fn tail_query_vec<M: QueryModel>(model: &M, emb: &Embeddings, h: u32, r: u32) -> Vec<f32> {
+    let mut q = vec![0.0; emb.dim()];
+    model.tail_query(emb, h, r, &mut q);
+    q
+}
+
+/// A fresh head-query vector of `model`.
+fn head_query_vec<M: QueryModel>(model: &M, emb: &Embeddings, t: u32, r: u32) -> Vec<f32> {
+    let mut q = vec![0.0; emb.dim()];
+    model.head_query(emb, t, r, &mut q);
+    q
+}
+
+/// Rank `target` among all entities scored against the query vector
+/// `q`, via the fused entity-table scan: the target's score is one dot
+/// product, every other candidate's score streams through a
+/// [`RankTally`] without materializing a score vector. Each streamed
+/// score is bit-identical to the matvec the dense default would rank
+/// over, so this returns exactly what
+/// `filtered_rank(E·q, target, filtered)` does.
+fn rank_with_query(emb: &Embeddings, q: &[f32], target: u32, filtered: &[u32]) -> f64 {
+    let target_score = vecops::dot(emb.entity.row(target as usize), q);
+    let mut tally = RankTally::new(target, target_score, filtered);
+    scan_rows(&emb.entity, q, std::slice::from_mut(&mut tally));
+    tally.rank()
+}
+
+/// Sampled counterpart of [`rank_with_query`]: stream the gathered
+/// candidate rows instead of the whole entity table. Global ids map to
+/// candidate slots (both sorted, so the filtered remap preserves
+/// order); a target outside the sample maps to the `u32::MAX` sentinel
+/// no slot can match — its score still anchors the tally, so the true
+/// answer always competes and is never filtered.
+fn rank_with_query_sampled(
+    emb: &Embeddings,
+    q: &[f32],
+    target: u32,
+    filtered: &[u32],
+    cand: &CandidateSet,
+) -> f64 {
+    let target_score = vecops::dot(emb.entity.row(target as usize), q);
+    let local_target = cand.local_of(target).unwrap_or(u32::MAX);
+    let local_filt: Vec<u32> = filtered.iter().filter_map(|&f| cand.local_of(f)).collect();
+    let mut tally = RankTally::new(local_target, target_score, &local_filt);
+    scan_rows(cand.rows(), q, std::slice::from_mut(&mut tally));
+    tally.rank()
+}
+
+impl<M: QueryModel> ScoreModel for M {
+    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
+        emb.entity.matvec(&tail_query_vec(self, emb, h, r), out);
+    }
+
+    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
+        emb.entity.matvec(&head_query_vec(self, emb, t, r), out);
+    }
+
+    fn score_triple(&self, emb: &Embeddings, triple: Triple) -> f32 {
+        let q = tail_query_vec(self, emb, triple.head, triple.rel);
+        vecops::dot(&q, emb.entity.row(triple.tail as usize))
+    }
+
+    fn tail_rank(
+        &self,
+        emb: &Embeddings,
+        h: u32,
+        r: u32,
+        target: u32,
+        filtered: &[u32],
+        _scores: &mut [f32],
+    ) -> f64 {
+        rank_with_query(emb, &tail_query_vec(self, emb, h, r), target, filtered)
+    }
+
+    fn head_rank(
+        &self,
+        emb: &Embeddings,
+        t: u32,
+        r: u32,
+        target: u32,
+        filtered: &[u32],
+        _scores: &mut [f32],
+    ) -> f64 {
+        rank_with_query(emb, &head_query_vec(self, emb, t, r), target, filtered)
+    }
+
+    fn tail_rank_sampled(
+        &self,
+        emb: &Embeddings,
+        h: u32,
+        r: u32,
+        target: u32,
+        filtered: &[u32],
+        cand: &CandidateSet,
+        _scores: &mut [f32],
+    ) -> f64 {
+        let q = tail_query_vec(self, emb, h, r);
+        rank_with_query_sampled(emb, &q, target, filtered, cand)
+    }
+
+    fn head_rank_sampled(
+        &self,
+        emb: &Embeddings,
+        t: u32,
+        r: u32,
+        target: u32,
+        filtered: &[u32],
+        cand: &CandidateSet,
+        _scores: &mut [f32],
+    ) -> f64 {
+        let q = head_query_vec(self, emb, t, r);
+        rank_with_query_sampled(emb, &q, target, filtered, cand)
     }
 }
 
@@ -596,27 +727,6 @@ pub fn link_prediction_pool<M: ScoreModel + Sync + ?Sized>(
     reduce_counts(parts).finalise()
 }
 
-/// Multi-threaded [`link_prediction`] with an explicit thread count —
-/// a compatibility wrapper over [`link_prediction_pool`] that sizes a
-/// dedicated pool. Prefer passing [`ThreadPool::global`] to
-/// `link_prediction_pool` so evaluation shares the process-wide worker
-/// set. Results are bit-identical to the sequential version for every
-/// `threads` value.
-pub fn link_prediction_parallel<M: ScoreModel + Sync + ?Sized>(
-    model: &M,
-    emb: &Embeddings,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    threads: usize,
-) -> LinkPredictionMetrics {
-    let threads = threads.max(1).min(triples.len().max(1));
-    if threads == 1 {
-        return link_prediction(model, emb, triples, filter);
-    }
-    let pool = ThreadPool::new(threads);
-    link_prediction_pool(model, emb, triples, filter, &pool)
-}
-
 /// Per-pattern link prediction on the test split (Tables III and VIII).
 /// Returns one entry per pattern that has at least one test triple.
 pub fn link_prediction_by_pattern<M: ScoreModel + ?Sized>(
@@ -768,34 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn link_prediction_parallel_is_bit_identical_to_sequential() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(1);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
-        );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let seq = link_prediction(&model, &emb, &dataset.test, &filter);
-        for threads in [1usize, 2, 3, 4] {
-            let par = link_prediction_parallel(&model, &emb, &dataset.test, &filter, threads);
-            assert_eq!(par, seq, "threads {threads}");
-        }
-        // More workers than shards (and than triples).
-        let two = &dataset.test[..2.min(dataset.test.len())];
-        let seq_two = link_prediction(&model, &emb, two, &filter);
-        let par_two = link_prediction_parallel(&model, &emb, two, &filter, 16);
-        assert_eq!(par_two, seq_two);
-        // Empty triple set: zero metrics on every path.
-        let empty = link_prediction_parallel(&model, &emb, &[], &filter, 4);
-        assert_eq!(empty, LinkPredictionMetrics::default());
-        assert_eq!(empty, link_prediction(&model, &emb, &[], &filter));
-    }
-
-    #[test]
     fn pooled_evaluator_matches_sequential_for_every_pool_size() {
         let dataset = eras_data::Preset::Tiny.build(60);
         let filter = FilterIndex::build(&dataset);
@@ -808,11 +890,27 @@ mod tests {
         );
         let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
         let seq = link_prediction(&model, &emb, &dataset.test, &filter);
+        let two = &dataset.test[..2.min(dataset.test.len())];
+        let seq_two = link_prediction(&model, &emb, two, &filter);
         for threads in [1usize, 2, 3, 8] {
             let pool = ThreadPool::new(threads);
             let pooled = link_prediction_pool(&model, &emb, &dataset.test, &filter, &pool);
             assert_eq!(pooled, seq, "pool size {threads}");
+            // More workers than shards (and than triples).
+            let pooled_two = link_prediction_pool(&model, &emb, two, &filter, &pool);
+            assert_eq!(pooled_two, seq_two, "pool size {threads}, two triples");
+            // Empty triple set: zero metrics on every path.
+            let empty = link_prediction_pool(&model, &emb, &[], &filter, &pool);
+            assert_eq!(
+                empty,
+                LinkPredictionMetrics::default(),
+                "pool size {threads}"
+            );
         }
+        assert_eq!(
+            link_prediction(&model, &emb, &[], &filter),
+            LinkPredictionMetrics::default()
+        );
     }
 
     /// Strips a model's rank overrides, forcing the default dense path

@@ -20,12 +20,10 @@
 //! can model all four relation patterns.
 
 use crate::embeddings::Embeddings;
-use crate::eval::ScoreModel;
+use crate::eval::QueryModel;
 use crate::grads::SideGrads;
+use crate::one_vs_all::{self, candidate_residuals, SampledModel, SampledSoftmax};
 use eras_data::Triple;
-use eras_linalg::optim::{Adagrad, Optimizer};
-use eras_linalg::softmax::log_loss_and_residual;
-use eras_linalg::vecops;
 use eras_linalg::Rng;
 
 /// Circular correlation `(a ⋆ b)_k = Σ_i a_i b_{(i+k) mod d}`.
@@ -55,27 +53,44 @@ fn convolve(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// HolE trainer (sampled-softmax 1-vs-all, analytic gradients).
 #[derive(Debug, Clone)]
 pub struct HolE {
-    opt_entity: Adagrad,
-    opt_relation: Adagrad,
-    /// Negatives per positive.
-    pub negatives: usize,
+    softmax: SampledSoftmax,
 }
 
 impl HolE {
     /// Create for the given embedding shapes.
     pub fn new(emb: &Embeddings, lr: f32, negatives: usize) -> Self {
         HolE {
-            opt_entity: Adagrad::new(emb.entity.as_slice().len(), lr, 1e-5),
-            opt_relation: Adagrad::new(emb.relation.as_slice().len(), lr, 1e-5),
-            negatives,
+            softmax: SampledSoftmax::new(emb, lr, negatives),
         }
     }
 
-    /// Pure gradients of one 1-vs-all step over an explicit candidate
-    /// list (`candidates[0]` is the target; `tail_side` picks the query
-    /// direction). Reads `emb`, writes only `g`; the sampled-softmax
-    /// trainer and the gradient contract checker share this kernel.
-    pub fn side_grads(
+    /// One pass over the training set (both directions). Returns mean loss.
+    pub fn train_epoch(&mut self, emb: &mut Embeddings, train: &[Triple], rng: &mut Rng) -> f32 {
+        one_vs_all::train_epoch(self, emb, train, rng)
+    }
+}
+
+impl QueryModel for HolE {
+    /// `score(t) = ⟨t, r ∗ h⟩`.
+    fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
+        convolve(emb.relation.row(r as usize), emb.entity.row(h as usize), q);
+    }
+
+    /// `score(h) = ⟨h, r ⋆ t⟩`.
+    fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
+        correlate(emb.relation.row(r as usize), emb.entity.row(t as usize), q);
+    }
+}
+
+impl SampledModel for HolE {
+    type Grads = SideGrads;
+
+    fn new_grads(&self, dim: usize) -> SideGrads {
+        SideGrads::new(dim)
+    }
+
+    fn side_grads(
+        &self,
         emb: &Embeddings,
         anchor: u32,
         rel: u32,
@@ -84,33 +99,20 @@ impl HolE {
         g: &mut SideGrads,
     ) {
         let d = emb.dim();
-        let a_row = emb.entity.row(anchor as usize);
-        let r_row = emb.relation.row(rel as usize);
         if tail_side {
-            // score(t) = ⟨t, r ∗ h⟩.
-            convolve(r_row, a_row, &mut g.q);
+            self.tail_query(emb, anchor, rel, &mut g.q);
         } else {
-            // score(h) = ⟨h, r ⋆ t⟩.
-            correlate(r_row, a_row, &mut g.q);
+            self.head_query(emb, anchor, rel, &mut g.q);
         }
-
-        g.resid.clear();
-        g.resid.extend(
-            candidates
-                .iter()
-                .map(|&c| vecops::dot(&g.q, emb.entity.row(c as usize))),
-        );
-        g.loss = log_loss_and_residual(&mut g.resid, 0);
-
-        let mut g_q = vec![0.0f32; d];
-        for (slot, &c) in candidates.iter().enumerate() {
-            vecops::axpy(g.resid[slot], emb.entity.row(c as usize), &mut g_q);
-        }
+        candidate_residuals(emb, candidates, g);
 
         // Back through the correlation/convolution. Both are bilinear:
         // tail side, q = r ∗ a:  ∂⟨g,q⟩/∂r = g ⋆ a ;  ∂/∂a = r ⋆ g.
         // head side, q = r ⋆ a:  direct index forms, finite-difference
         // checked by the gradient contract.
+        let a_row = emb.entity.row(anchor as usize);
+        let r_row = emb.relation.row(rel as usize);
+        let g_q = &g.g_q;
         if tail_side {
             // q_k = Σ_i r_i a_{(k−i)}: ∂/∂r_i = Σ_k g_k a_{(k−i)}.
             for i in 0..d {
@@ -143,97 +145,17 @@ impl HolE {
         }
     }
 
-    /// One 1-vs-all step. `tail_side` picks the query direction.
-    #[allow(clippy::too_many_arguments)]
-    fn train_side(
-        &mut self,
-        emb: &mut Embeddings,
-        anchor: u32,
-        rel: u32,
-        target: u32,
-        tail_side: bool,
-        rng: &mut Rng,
-        g: &mut SideGrads,
-    ) -> f32 {
-        let d = emb.dim();
-        let ne = emb.num_entities();
-        let mut candidates = Vec::with_capacity(self.negatives + 1);
-        candidates.push(target);
-        for _ in 0..self.negatives {
-            let mut c = rng.next_below(ne) as u32;
-            if c == target {
-                c = (c + 1) % ne as u32;
-            }
-            candidates.push(c);
-        }
-        Self::side_grads(emb, anchor, rel, &candidates, tail_side, g);
-
-        let mut row_grad = vec![0.0f32; d];
-        for (slot, &c) in candidates.iter().enumerate() {
-            let resid = g.resid[slot];
-            for (gr, &qv) in row_grad.iter_mut().zip(&g.q) {
-                *gr = resid * qv;
-            }
-            self.opt_entity
-                .step_at(emb.entity.as_mut_slice(), c as usize * d, &row_grad);
-        }
-        self.opt_entity
-            .step_at(emb.entity.as_mut_slice(), anchor as usize * d, &g.anchor);
-        self.opt_relation
-            .step_at(emb.relation.as_mut_slice(), rel as usize * d, &g.rel);
-        g.loss
-    }
-
-    /// One pass over the training set (both directions). Returns mean loss.
-    pub fn train_epoch(&mut self, emb: &mut Embeddings, train: &[Triple], rng: &mut Rng) -> f32 {
-        if train.is_empty() {
-            return 0.0;
-        }
-        let mut g = SideGrads::new(emb.dim());
-        let mut total = 0.0f32;
-        for &t in train {
-            total += self.train_side(emb, t.head, t.rel, t.tail, true, rng, &mut g);
-            total += self.train_side(emb, t.tail, t.rel, t.head, false, rng, &mut g);
-        }
-        total / (2.0 * train.len() as f32)
-    }
-}
-
-impl ScoreModel for HolE {
-    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
-        let mut q = vec![0.0f32; emb.dim()];
-        convolve(
-            emb.relation.row(r as usize),
-            emb.entity.row(h as usize),
-            &mut q,
-        );
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
-        let mut q = vec![0.0f32; emb.dim()];
-        correlate(
-            emb.relation.row(r as usize),
-            emb.entity.row(t as usize),
-            &mut q,
-        );
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_triple(&self, emb: &Embeddings, tr: Triple) -> f32 {
-        let mut q = vec![0.0f32; emb.dim()];
-        convolve(
-            emb.relation.row(tr.rel as usize),
-            emb.entity.row(tr.head as usize),
-            &mut q,
-        );
-        vecops::dot(&q, emb.entity.row(tr.tail as usize))
+    fn softmax(&mut self) -> &mut SampledSoftmax {
+        &mut self.softmax
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::ScoreModel;
+    use eras_linalg::softmax::log_loss_and_residual;
+    use eras_linalg::vecops;
 
     #[test]
     fn correlation_and_convolution_identities() {

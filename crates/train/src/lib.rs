@@ -18,19 +18,25 @@
 //!   steps. AutoSF, ERAS and the bilinear zoo (DistMult, ComplEx, SimplE,
 //!   Analogy) are all instances;
 //! - [`baselines`] — the non-bilinear comparators of Table VI implemented
-//!   from scratch: TransE, TransH, RotatE (margin loss + negative
-//!   sampling) and TuckER (multiclass loss, trained core tensor);
+//!   from scratch: TransE, TransH, RotatE (one shared margin-loss epoch
+//!   over filtered negatives, each model keeping its apply step) and
+//!   TuckER (multiclass loss, trained core tensor);
 //! - [`quate`] — QuatE, quaternion rotations (Table VI's strongest TBM
 //!   besides the searched functions);
 //! - [`mlpe`] — a learned-projection neural scorer standing in for the
 //!   ConvE/HypER family (substitution documented in DESIGN.md §2);
 //! - [`hole`] — HolE, circular-correlation embeddings (the HolEX family's
 //!   base model);
+//! - `one_vs_all` — the sampled 1-vs-all step HolE, QuatE and MlpE
+//!   share: candidate draw, the model's gradient kernel, row updates;
 //! - [`loss`] — loss-mode configuration shared by the trainers;
 //! - [`trainer`] — the stand-alone training loop with validation-based
 //!   early stopping (the paper's "train to convergence" protocol);
 //! - [`eval`] — filtered link-prediction metrics (MRR, Hit@1/3/10), with
-//!   per-relation and per-pattern slicing (Tables III, VI, VIII);
+//!   per-relation and per-pattern slicing (Tables III, VI, VIII), and the
+//!   scoring interface: every `⟨q, E[e]⟩` model (BlockModel, HolE, QuatE,
+//!   TuckER, MlpE) supplies only its query vectors ([`QueryModel`]) and
+//!   shares one scoring and fused-scan ranking path;
 //! - [`classify`] — triplet classification with relation-specific
 //!   thresholds fitted on validation (Table X);
 //! - [`negative`] — filtered negative sampling;
@@ -59,6 +65,7 @@ pub mod io;
 pub mod loss;
 pub mod mlpe;
 pub mod negative;
+pub(crate) mod one_vs_all;
 pub mod parallel;
 pub mod quate;
 pub mod trainer;
@@ -66,6 +73,6 @@ pub mod trainer;
 pub use block::BlockModel;
 pub use contract::{check_case, run_all_contracts, GradCase, GradReport};
 pub use embeddings::Embeddings;
-pub use eval::{CandidateSet, LinkPredictionMetrics, RankingMode, ScoreModel};
+pub use eval::{CandidateSet, LinkPredictionMetrics, QueryModel, RankingMode, ScoreModel};
 pub use loss::{Corruption, LossMode};
 pub use negative::NegCtx;

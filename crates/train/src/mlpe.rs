@@ -17,11 +17,11 @@
 //! taxonomy (Table I) attributes to NNMs.
 
 use crate::embeddings::Embeddings;
-use crate::eval::ScoreModel;
+use crate::eval::QueryModel;
 use crate::grads::MlpSideGrads;
+use crate::one_vs_all::{self, candidate_residuals, SampledModel, SampledSoftmax};
 use eras_data::Triple;
 use eras_linalg::optim::{Adagrad, Optimizer};
-use eras_linalg::softmax::log_loss_and_residual;
 use eras_linalg::vecops;
 use eras_linalg::{Matrix, Rng};
 
@@ -41,10 +41,7 @@ pub struct MlpE {
     opt_b1: Adagrad,
     opt_w2: Adagrad,
     opt_b2: Adagrad,
-    opt_entity: Adagrad,
-    opt_relation: Adagrad,
-    /// Negatives per positive in the sampled softmax.
-    pub negatives: usize,
+    softmax: SampledSoftmax,
 }
 
 impl MlpE {
@@ -58,183 +55,36 @@ impl MlpE {
             opt_b1: Adagrad::new(hidden, lr, 0.0),
             opt_w2: Adagrad::new(w2.as_slice().len(), lr, 1e-5),
             opt_b2: Adagrad::new(d, lr, 0.0),
-            opt_entity: Adagrad::new(emb.entity.as_slice().len(), lr, 1e-5),
-            opt_relation: Adagrad::new(emb.relation.as_slice().len(), lr, 1e-5),
+            softmax: SampledSoftmax::new(emb, lr, negatives),
             w1,
             b1: vec![0.0; hidden],
             w2,
             b2: vec![0.0; d],
             hidden,
-            negatives,
         }
     }
 
-    /// Pure gradients of one 1-vs-all step over an explicit candidate
-    /// list (`candidates[0]` is the target). Reads `emb` and the network
-    /// weights, writes only `g`; the sampled-softmax trainer and the
-    /// gradient contract checker share this kernel. Layer gradients are
-    /// the outer products documented on [`MlpSideGrads`].
-    pub fn side_grads(
-        &self,
-        emb: &Embeddings,
-        anchor: u32,
-        rel: u32,
-        candidates: &[u32],
-        g: &mut MlpSideGrads,
-    ) {
-        let d = emb.dim();
-        let h_row = emb.entity.row(anchor as usize);
-        let r_row = emb.relation.row(rel as usize);
-        let (hid, q) = self.project_impl(h_row, r_row);
-        g.hid.copy_from_slice(&hid);
-        g.q.copy_from_slice(&q);
-
-        g.resid.clear();
-        g.resid.extend(
-            candidates
-                .iter()
-                .map(|&c| vecops::dot(&q, emb.entity.row(c as usize))),
-        );
-        g.loss = log_loss_and_residual(&mut g.resid, 0);
-
-        vecops::zero(&mut g.g_q);
-        for (slot, &c) in candidates.iter().enumerate() {
-            vecops::axpy(g.resid[slot], emb.entity.row(c as usize), &mut g.g_q);
-        }
-
-        // Layer 2: q = W2·hid + b2 → d_hid = W2ᵀ g_q, then the ReLU mask.
-        vecops::zero(&mut g.d_hid);
-        for i in 0..d {
-            let gi = g.g_q[i];
-            if gi != 0.0 {
-                let row = self.w2.row(i);
-                for j in 0..self.hidden {
-                    g.d_hid[j] += gi * row[j];
-                }
-            }
-        }
-        for j in 0..self.hidden {
-            if hid[j] <= 0.0 {
-                g.d_hid[j] = 0.0;
-            }
-        }
-        // Layer 1 chain rule into the anchor and relation rows.
-        vecops::zero(&mut g.anchor);
-        vecops::zero(&mut g.rel);
-        for j in 0..self.hidden {
-            let gz = g.d_hid[j];
-            if gz == 0.0 {
-                continue;
-            }
-            let row = self.w1.row(j);
-            vecops::axpy(gz, &row[..d], &mut g.anchor);
-            vecops::axpy(gz, &row[d..], &mut g.rel);
-        }
-    }
-
-    /// One 1-vs-all sampled-softmax step. Returns the loss.
-    fn train_side(
-        &mut self,
-        emb: &mut Embeddings,
-        anchor: u32,
-        rel: u32,
-        target: u32,
-        rng: &mut Rng,
-        g: &mut MlpSideGrads,
-    ) -> f32 {
-        let d = emb.dim();
-        let ne = emb.num_entities();
-        let h_row: Vec<f32> = emb.entity.row(anchor as usize).to_vec();
-        let r_row: Vec<f32> = emb.relation.row(rel as usize).to_vec();
-
-        let mut candidates = Vec::with_capacity(self.negatives + 1);
-        candidates.push(target);
-        for _ in 0..self.negatives {
-            let mut c = rng.next_below(ne) as u32;
-            if c == target {
-                c = (c + 1) % ne as u32;
-            }
-            candidates.push(c);
-        }
-        self.side_grads(emb, anchor, rel, &candidates, g);
-
-        // Candidate rows move by resid · q.
-        let mut row_grad = vec![0.0f32; d];
-        for (slot, &c) in candidates.iter().enumerate() {
-            let resid = g.resid[slot];
-            for (gr, &qv) in row_grad.iter_mut().zip(&g.q) {
-                *gr = resid * qv;
-            }
-            self.opt_entity
-                .step_at(emb.entity.as_mut_slice(), c as usize * d, &row_grad);
-        }
-
-        // W2 rows (g_q[i] · hid), then b2.
-        let mut w2_row_grad = vec![0.0f32; self.hidden];
-        for i in 0..d {
-            let gi = g.g_q[i];
-            for (gr, &hj) in w2_row_grad.iter_mut().zip(&g.hid) {
-                *gr = gi * hj;
-            }
-            self.opt_w2
-                .step_at(self.w2.as_mut_slice(), i * self.hidden, &w2_row_grad);
-        }
-        self.opt_b2.step_at(&mut self.b2, 0, &g.g_q);
-
-        // W1 rows (d_hid[j] · [h ; r]), then b1.
-        let mut w1_row_grad = vec![0.0f32; 2 * d];
-        for j in 0..self.hidden {
-            let gz = g.d_hid[j];
-            if gz == 0.0 {
-                continue;
-            }
-            for (gr, &hv) in w1_row_grad[..d].iter_mut().zip(&h_row) {
-                *gr = gz * hv;
-            }
-            for (gr, &rv) in w1_row_grad[d..].iter_mut().zip(&r_row) {
-                *gr = gz * rv;
-            }
-            self.opt_w1
-                .step_at(self.w1.as_mut_slice(), j * 2 * d, &w1_row_grad);
-        }
-        self.opt_b1.step_at(&mut self.b1, 0, &g.d_hid);
-        self.opt_entity
-            .step_at(emb.entity.as_mut_slice(), anchor as usize * d, &g.anchor);
-        self.opt_relation
-            .step_at(emb.relation.as_mut_slice(), rel as usize * d, &g.rel);
-        g.loss
-    }
-
-    /// Forward pass returning `(hidden activations, query vector)`.
-    fn project_impl(&self, h: &[f32], r: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    /// Forward pass: the post-ReLU hidden activations into `hid`, the
+    /// query vector into `q`.
+    fn project(&self, h: &[f32], r: &[f32], hid: &mut [f32], q: &mut [f32]) {
         let d = h.len();
-        let mut hid = vec![0.0f32; self.hidden];
         for j in 0..self.hidden {
             let row = self.w1.row(j);
             let z = vecops::dot(&row[..d], h) + vecops::dot(&row[d..], r) + self.b1[j];
             hid[j] = z.max(0.0);
         }
-        let mut q = self.b2.clone();
+        q.copy_from_slice(&self.b2);
         for (i, qv) in q.iter_mut().enumerate() {
-            *qv += vecops::dot(self.w2.row(i), &hid);
+            *qv += vecops::dot(self.w2.row(i), hid);
         }
-        (hid, q)
     }
 
-    /// One pass over the training set (tail prediction only, as ConvE
-    /// trains; head queries at evaluation go through the same projection
-    /// with a reversed lookup). Returns mean loss.
+    /// One pass over the training set: a tail-prediction step from
+    /// `(h, r)` and a head-prediction step from `(t, r)` per triple,
+    /// both through the same projection. Returns the mean per-side
+    /// loss.
     pub fn train_epoch(&mut self, emb: &mut Embeddings, train: &[Triple], rng: &mut Rng) -> f32 {
-        if train.is_empty() {
-            return 0.0;
-        }
-        let mut g = MlpSideGrads::new(emb.dim(), self.hidden);
-        let mut total = 0.0f32;
-        for &t in train {
-            total += self.train_side(emb, t.head, t.rel, t.tail, rng, &mut g);
-            total += self.train_side(emb, t.tail, t.rel, t.head, rng, &mut g);
-        }
-        total / (2.0 * train.len() as f32)
+        one_vs_all::train_epoch(self, emb, train, rng)
     }
 
     /// Hidden width `H`.
@@ -273,31 +123,114 @@ impl MlpE {
     }
 }
 
-impl ScoreModel for MlpE {
-    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
-        let (_, q) = self.project_impl(emb.entity.row(h as usize), emb.relation.row(r as usize));
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
-        // Symmetric treatment: project (t, r) and score head candidates.
-        // (MlpE trains both directions through the same network.)
-        let (_, q) = self.project_impl(emb.entity.row(t as usize), emb.relation.row(r as usize));
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_triple(&self, emb: &Embeddings, t: Triple) -> f32 {
-        let (_, q) = self.project_impl(
-            emb.entity.row(t.head as usize),
-            emb.relation.row(t.rel as usize),
+impl QueryModel for MlpE {
+    fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
+        let mut hid = vec![0.0f32; self.hidden];
+        self.project(
+            emb.entity.row(h as usize),
+            emb.relation.row(r as usize),
+            &mut hid,
+            q,
         );
-        vecops::dot(&q, emb.entity.row(t.tail as usize))
+    }
+
+    /// Symmetric treatment: project `(t, r)` and score head candidates
+    /// (MlpE trains both directions through the same network).
+    fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
+        self.tail_query(emb, t, r, q);
+    }
+}
+
+impl SampledModel for MlpE {
+    type Grads = MlpSideGrads;
+
+    fn new_grads(&self, dim: usize) -> MlpSideGrads {
+        MlpSideGrads::new(dim, self.hidden)
+    }
+
+    /// Both directions project `(anchor, rel)` the same way, so
+    /// `tail_side` is unused. Layer gradients are the outer products
+    /// documented on [`MlpSideGrads`].
+    fn side_grads(
+        &self,
+        emb: &Embeddings,
+        anchor: u32,
+        rel: u32,
+        candidates: &[u32],
+        _tail_side: bool,
+        g: &mut MlpSideGrads,
+    ) {
+        let d = emb.dim();
+        let h_row = emb.entity.row(anchor as usize);
+        let r_row = emb.relation.row(rel as usize);
+        g.input[..d].copy_from_slice(h_row);
+        g.input[d..].copy_from_slice(r_row);
+        self.project(h_row, r_row, &mut g.hid, &mut g.side.q);
+        candidate_residuals(emb, candidates, &mut g.side);
+
+        // Layer 2: q = W2·hid + b2 → d_hid = W2ᵀ g_q, then the ReLU mask.
+        vecops::zero(&mut g.d_hid);
+        for i in 0..d {
+            let gi = g.side.g_q[i];
+            if gi != 0.0 {
+                let row = self.w2.row(i);
+                for j in 0..self.hidden {
+                    g.d_hid[j] += gi * row[j];
+                }
+            }
+        }
+        for j in 0..self.hidden {
+            if g.hid[j] <= 0.0 {
+                g.d_hid[j] = 0.0;
+            }
+        }
+        // Layer 1 chain rule into the anchor and relation rows.
+        vecops::zero(&mut g.side.anchor);
+        vecops::zero(&mut g.side.rel);
+        for j in 0..self.hidden {
+            let gz = g.d_hid[j];
+            if gz == 0.0 {
+                continue;
+            }
+            let row = self.w1.row(j);
+            vecops::axpy(gz, &row[..d], &mut g.side.anchor);
+            vecops::axpy(gz, &row[d..], &mut g.side.rel);
+        }
+    }
+
+    fn softmax(&mut self) -> &mut SampledSoftmax {
+        &mut self.softmax
+    }
+
+    /// W2 rows (`g_q[i] · hid`), b2, W1 rows (`d_hid[j] · input`), b1.
+    fn step_own(&mut self, g: &MlpSideGrads) {
+        let d = g.side.q.len();
+        let mut w2_row_grad = vec![0.0f32; self.hidden];
+        for i in 0..d {
+            vecops::scaled_copy(g.side.g_q[i], &g.hid, &mut w2_row_grad);
+            self.opt_w2
+                .step_at(self.w2.as_mut_slice(), i * self.hidden, &w2_row_grad);
+        }
+        self.opt_b2.step_at(&mut self.b2, 0, &g.side.g_q);
+        let mut w1_row_grad = vec![0.0f32; 2 * d];
+        for j in 0..self.hidden {
+            let gz = g.d_hid[j];
+            if gz == 0.0 {
+                continue;
+            }
+            vecops::scaled_copy(gz, &g.input, &mut w1_row_grad);
+            self.opt_w1
+                .step_at(self.w1.as_mut_slice(), j * 2 * d, &w1_row_grad);
+        }
+        self.opt_b1.step_at(&mut self.b1, 0, &g.d_hid);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::ScoreModel;
+    use eras_linalg::softmax::log_loss_and_residual;
 
     #[test]
     fn score_consistency() {
@@ -320,13 +253,15 @@ mod tests {
         let (h, r, t) = (1u32, 0u32, 2u32);
 
         let loss_of = |m: &MlpE, e: &Embeddings| -> f32 {
-            let (_, q) = m.project_impl(e.entity.row(h as usize), e.relation.row(r as usize));
+            let mut q = vec![0.0f32; 4];
+            m.tail_query(e, h, r, &mut q);
             let mut scores: Vec<f32> = (0..6).map(|c| vecops::dot(&q, e.entity.row(c))).collect();
             log_loss_and_residual(&mut scores, t as usize)
         };
 
         // Analytic: replicate the layer math with full candidates.
-        let (hid, q) = model.project_impl(emb.entity.row(1), emb.relation.row(0));
+        let (mut hid, mut q) = (vec![0.0f32; 5], vec![0.0f32; 4]);
+        model.project(emb.entity.row(1), emb.relation.row(0), &mut hid, &mut q);
         let mut scores: Vec<f32> = (0..6).map(|c| vecops::dot(&q, emb.entity.row(c))).collect();
         let _ = log_loss_and_residual(&mut scores, t as usize);
         let mut g_q = vec![0.0f32; 4];

@@ -52,7 +52,7 @@
 //! million-entity tables where even a sparse shard carries a
 //! rows-sized slot map, so they run over their own bounded window
 //! (`NEG_LIVE_SHARDS`). Sparse shards store only the rows they touch
-//! (slot-compressed, see [`GradTable`]): a neg-sampling shard over a
+//! (slot-compressed, see `GradTable`): a neg-sampling shard over a
 //! million-entity table costs kilobytes of gradient rows, not the
 //! 4·`N_e`·`d` bytes a dense accumulator would.
 //!

@@ -17,12 +17,10 @@
 //! checked in the tests.
 
 use crate::embeddings::Embeddings;
-use crate::eval::ScoreModel;
+use crate::eval::QueryModel;
 use crate::grads::SideGrads;
+use crate::one_vs_all::{self, candidate_residuals, SampledModel, SampledSoftmax};
 use eras_data::Triple;
-use eras_linalg::optim::{Adagrad, Optimizer};
-use eras_linalg::softmax::log_loss_and_residual;
-use eras_linalg::vecops;
 use eras_linalg::Rng;
 
 /// One quaternion as `[w, x, y, z]`.
@@ -88,10 +86,7 @@ fn lmul_transpose(h: Quat, g: Quat) -> Quat {
 /// QuatE trainer with its own Adagrad state.
 #[derive(Debug, Clone)]
 pub struct QuatE {
-    opt_entity: Adagrad,
-    opt_relation: Adagrad,
-    /// Negatives per positive in the sampled softmax.
-    pub negatives: usize,
+    softmax: SampledSoftmax,
 }
 
 impl QuatE {
@@ -99,16 +94,22 @@ impl QuatE {
     pub fn new(emb: &Embeddings, lr: f32, negatives: usize) -> Self {
         assert_eq!(emb.dim() % 4, 0, "QuatE needs dim divisible by 4");
         QuatE {
-            opt_entity: Adagrad::new(emb.entity.as_slice().len(), lr, 1e-5),
-            opt_relation: Adagrad::new(emb.relation.as_slice().len(), lr, 1e-5),
-            negatives,
+            softmax: SampledSoftmax::new(emb, lr, negatives),
         }
     }
 
+    /// One pass over the training set (both prediction directions).
+    /// Returns the mean per-side loss.
+    pub fn train_epoch(&mut self, emb: &mut Embeddings, train: &[Triple], rng: &mut Rng) -> f32 {
+        one_vs_all::train_epoch(self, emb, train, rng)
+    }
+}
+
+impl QueryModel for QuatE {
     /// Tail-side query vector `q = h ⊗ r̂` (so `score(t') = ⟨q, t'⟩`).
     // audit:allow(E701): q has length dim and k < dim/4, so every
     // 4k..4k+4 window is in bounds
-    fn tail_query(emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
+    fn tail_query(&self, emb: &Embeddings, h: u32, r: u32, q: &mut [f32]) {
         let dim = emb.dim();
         let hrow = emb.entity.row(h as usize);
         let rrow = emb.relation.row(r as usize);
@@ -122,7 +123,7 @@ impl QuatE {
     /// Head-side query vector `q = t ⊗ r̂*` — from
     /// `⟨h ⊗ r̂, t⟩ = ⟨h, t ⊗ r̂*⟩` for unit `r̂`.
     // audit:allow(E701): same bounds argument as tail_query
-    fn head_query(emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
+    fn head_query(&self, emb: &Embeddings, t: u32, r: u32, q: &mut [f32]) {
         let dim = emb.dim();
         let trow = emb.entity.row(t as usize);
         let rrow = emb.relation.row(r as usize);
@@ -132,12 +133,17 @@ impl QuatE {
             q[4 * k..4 * k + 4].copy_from_slice(&out);
         }
     }
+}
 
-    /// Pure gradients of one 1-vs-all step over an explicit candidate
-    /// list (`candidates[0]` is the target; `tail_side` picks the query
-    /// direction). Reads `emb`, writes only `g`; the sampled-softmax
-    /// trainer and the gradient contract checker share this kernel.
-    pub fn side_grads(
+impl SampledModel for QuatE {
+    type Grads = SideGrads;
+
+    fn new_grads(&self, dim: usize) -> SideGrads {
+        SideGrads::new(dim)
+    }
+
+    fn side_grads(
+        &self,
         emb: &Embeddings,
         anchor: u32,
         rel: u32,
@@ -147,28 +153,17 @@ impl QuatE {
     ) {
         let dim = emb.dim();
         if tail_side {
-            Self::tail_query(emb, anchor, rel, &mut g.q);
+            self.tail_query(emb, anchor, rel, &mut g.q);
         } else {
-            Self::head_query(emb, anchor, rel, &mut g.q);
+            self.head_query(emb, anchor, rel, &mut g.q);
         }
-        g.resid.clear();
-        g.resid.extend(
-            candidates
-                .iter()
-                .map(|&c| vecops::dot(&g.q, emb.entity.row(c as usize))),
-        );
-        g.loss = log_loss_and_residual(&mut g.resid, 0);
-
-        let anchor_row = emb.entity.row(anchor as usize);
-        let rel_row = emb.relation.row(rel as usize);
-        let mut g_q = vec![0.0f32; dim];
-        for (slot, &c) in candidates.iter().enumerate() {
-            vecops::axpy(g.resid[slot], emb.entity.row(c as usize), &mut g_q);
-        }
+        candidate_residuals(emb, candidates, g);
 
         // Back through the Hamilton product into anchor and relation.
+        let anchor_row = emb.entity.row(anchor as usize);
+        let rel_row = emb.relation.row(rel as usize);
         for k in 0..dim / 4 {
-            let gq = quat_at(&g_q, k);
+            let gq = quat_at(&g.g_q, k);
             let r_raw = quat_at(rel_row, k);
             let (rhat, rnorm) = normalize(r_raw);
             let a = quat_at(anchor_row, k);
@@ -189,88 +184,17 @@ impl QuatE {
         }
     }
 
-    /// One 1-vs-all step predicting `target` from `(anchor, rel)` on the
-    /// given side. Returns the loss.
-    #[allow(clippy::too_many_arguments)]
-    fn train_side(
-        &mut self,
-        emb: &mut Embeddings,
-        anchor: u32,
-        rel: u32,
-        target: u32,
-        tail_side: bool,
-        rng: &mut Rng,
-        g: &mut SideGrads,
-    ) -> f32 {
-        let dim = emb.dim();
-        let ne = emb.num_entities();
-        // Candidates: target + negatives.
-        let mut candidates = Vec::with_capacity(self.negatives + 1);
-        candidates.push(target);
-        for _ in 0..self.negatives {
-            let mut c = rng.next_below(ne) as u32;
-            if c == target {
-                c = (c + 1) % ne as u32;
-            }
-            candidates.push(c);
-        }
-        Self::side_grads(emb, anchor, rel, &candidates, tail_side, g);
-
-        let mut row_grad = vec![0.0f32; dim];
-        for (slot, &c) in candidates.iter().enumerate() {
-            let resid = g.resid[slot];
-            for (gr, &qv) in row_grad.iter_mut().zip(&g.q) {
-                *gr = resid * qv;
-            }
-            self.opt_entity
-                .step_at(emb.entity.as_mut_slice(), c as usize * dim, &row_grad);
-        }
-        self.opt_entity
-            .step_at(emb.entity.as_mut_slice(), anchor as usize * dim, &g.anchor);
-        self.opt_relation
-            .step_at(emb.relation.as_mut_slice(), rel as usize * dim, &g.rel);
-        g.loss
-    }
-
-    /// One pass over the training set (both prediction directions).
-    /// Returns the mean per-side loss.
-    pub fn train_epoch(&mut self, emb: &mut Embeddings, train: &[Triple], rng: &mut Rng) -> f32 {
-        if train.is_empty() {
-            return 0.0;
-        }
-        let mut g = SideGrads::new(emb.dim());
-        let mut total = 0.0f32;
-        for &t in train {
-            total += self.train_side(emb, t.head, t.rel, t.tail, true, rng, &mut g);
-            total += self.train_side(emb, t.tail, t.rel, t.head, false, rng, &mut g);
-        }
-        total / (2.0 * train.len() as f32)
-    }
-}
-
-impl ScoreModel for QuatE {
-    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
-        let mut q = vec![0.0f32; emb.dim()];
-        Self::tail_query(emb, h, r, &mut q);
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
-        let mut q = vec![0.0f32; emb.dim()];
-        Self::head_query(emb, t, r, &mut q);
-        emb.entity.matvec(&q, out);
-    }
-
-    fn score_triple(&self, emb: &Embeddings, t: Triple) -> f32 {
-        let mut q = vec![0.0f32; emb.dim()];
-        Self::tail_query(emb, t.head, t.rel, &mut q);
-        vecops::dot(&q, emb.entity.row(t.tail as usize))
+    fn softmax(&mut self) -> &mut SampledSoftmax {
+        &mut self.softmax
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::ScoreModel;
+    use eras_linalg::softmax::log_loss_and_residual;
+    use eras_linalg::vecops;
 
     #[test]
     fn hamilton_identities() {
@@ -308,10 +232,11 @@ mod tests {
         // ⟨h ⊗ r̂, t⟩ == ⟨h, t ⊗ r̂*⟩.
         let mut rng = Rng::seed_from_u64(2);
         let emb = Embeddings::init(6, 2, 8, &mut rng);
+        let model = QuatE::new(&emb, 0.1, 2);
         let mut q_tail = vec![0.0f32; 8];
         let mut q_head = vec![0.0f32; 8];
-        QuatE::tail_query(&emb, 1, 0, &mut q_tail);
-        QuatE::head_query(&emb, 3, 0, &mut q_head);
+        model.tail_query(&emb, 1, 0, &mut q_tail);
+        model.head_query(&emb, 3, 0, &mut q_head);
         let lhs = vecops::dot(&q_tail, emb.entity.row(3));
         let rhs = vecops::dot(emb.entity.row(1), &q_head);
         assert!((lhs - rhs).abs() < 1e-4, "{lhs} vs {rhs}");
@@ -340,13 +265,14 @@ mod tests {
         // Check ∂loss/∂relation through normalisation + Hamilton product.
         let mut rng = Rng::seed_from_u64(4);
         let emb = Embeddings::init(8, 1, 4, &mut rng);
+        let model = QuatE::new(&emb, 0.1, 2);
         let (h, r, t) = (1u32, 0u32, 2u32);
 
         // Deterministic candidate set: all entities (emulate full softmax
         // by brute force for the check).
         let loss_of = |emb: &Embeddings| -> f32 {
             let mut q = vec![0.0f32; 4];
-            QuatE::tail_query(emb, h, r, &mut q);
+            model.tail_query(emb, h, r, &mut q);
             let mut scores: Vec<f32> = (0..8).map(|c| vecops::dot(&q, emb.entity.row(c))).collect();
             log_loss_and_residual(&mut scores, t as usize)
         };
@@ -356,7 +282,7 @@ mod tests {
         // internals manually.
         let base = emb.clone();
         let mut q = vec![0.0f32; 4];
-        QuatE::tail_query(&base, h, r, &mut q);
+        model.tail_query(&base, h, r, &mut q);
         let mut scores: Vec<f32> = (0..8)
             .map(|c| vecops::dot(&q, base.entity.row(c)))
             .collect();
